@@ -4,7 +4,7 @@ from .envelopes import (BoundReport, ConeTriple, DerivedRatios, Exponent,
                         carlen_bound, classify, eval_F, eval_G,
                         lower_envelope, scalar_three_term, sum_bound,
                         two_point, upper_envelope)
-from .extremal import extremal_F, extremal_G, extremal_G_neg, extremal_G_pos
+from .extremal import extremal_F, extremal_G
 from .oracle import BoundaryCurve, EnvelopeOracle, empirical_B, oracle_envelope
 from .stepfun import (StepFunction, overlap_norm, pth_power_norm, refine,
                       sum_and_report, sum_norm, triple_of_pair)
@@ -13,7 +13,7 @@ __all__ = [
     "BoundReport", "BoundaryCurve", "ConeTriple", "DerivedRatios",
     "EnvelopeOracle", "Exponent", "StepFunction", "carlen_bound", "classify",
     "empirical_B", "eval_F", "eval_G", "extremal_F", "extremal_G",
-    "extremal_G_neg", "extremal_G_pos", "lower_envelope", "oracle_envelope",
+    "lower_envelope", "oracle_envelope",
     "overlap_norm", "pth_power_norm", "refine", "scalar_three_term",
     "sum_and_report", "sum_bound", "sum_norm", "triple_of_pair", "two_point",
     "upper_envelope",

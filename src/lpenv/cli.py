@@ -12,17 +12,11 @@ import sys
 
 import numpy as np
 
-from . import analysis
+from . import suites
 from .envelopes import (ConeTriple, carlen_bound, classify, eval_F, eval_G,
-                        lower_envelope, scalar_three_term, sum_bound,
-                        upper_envelope)
+                        lower_envelope, upper_envelope)
 from .extremal import extremal_F, extremal_G
-from .oracle import EnvelopeOracle
-from .sampling import random_pair, random_step_function, substreams
-from .stepfun import (StepFunction, overlap_norm, pth_power_norm, refine,
-                      sum_and_report, sum_norm)
-
-P_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)
+from .stepfun import StepFunction, sum_and_report, sum_norm
 
 
 def fmt(v):
@@ -78,151 +72,49 @@ def cmd_extremal(args):
     return 0 if dev <= 1e-9 else 1
 
 
-def _verify_pair(seed, samples):
-    rngs = substreams(seed, len(P_GRID))
-    per = max(1, samples // len(P_GRID))
-    violations = 0
-    worst = math.inf
-    for p_val, rng in zip(P_GRID, rngs):
-        p = classify(p_val)
-        for _ in range(per):
-            f, g = random_pair(rng, p.p)
-            try:
-                report = sum_and_report(f, g, p)
-            except ValueError:
-                continue  # infinite norms (planted degenerate atoms)
-            m = min(report.margins["upper"], report.margins["lower"])
-            worst = min(worst, m)
-            if m < -1e-9:
-                violations += 1
-    return violations, worst
-
-
-def _verify_sum(seed, samples, p_neg):
-    if p_neg:
-        # three unit constants at p = -1: lhs = 1/3, bound = 3 + (2^-1 - 2)*3
-        lhs = pth_power_norm(StepFunction.constant(3.0), -1.0)
-        rhs = 3.0 + (2.0 ** -1.0 - 2.0) * 3.0
+def cmd_verify(args):
+    violations, worst = 0, 0.0
+    if args.suite == "pair":
+        violations, worst = suites.pair_sweep(args.seed, args.samples)
+    elif args.suite == "sum" and args.p_neg:
+        lhs, rhs = suites.p_neg_counterexample()
         print("p=-1 three unit constants: lhs=%s bound=%s lhs<=bound: %s"
               % (fmt(lhs), fmt(rhs), lhs <= rhs))
         # the counterexample is reproduced when the bound FAILS
-        return (0 if lhs > rhs else 1), lhs - rhs
-    upper_ps = (1.0, 1.5, 2.0)
-    lower_ps = (0.5, 1.0, 2.0, 3.0)
-    rngs = substreams(seed, 2)
-    violations = 0
-    worst = math.inf
-    per = max(1, samples // (len(upper_ps) + len(lower_ps)))
-    for ps, sign, rng in ((upper_ps, 1.0, rngs[0]), (lower_ps, -1.0, rngs[1])):
-        for p_val in ps:
-            p = classify(p_val)
-            for _ in range(per):
-                n = int(rng.integers(3, 9))
-                fs = [random_step_function(rng, p.p) for _ in range(n)]
-                moments = [pth_power_norm(f, p.p) for f in fs]
-                overlaps = sum(
-                    overlap_norm(fs[i], fs[j], p.p)
-                    for i in range(n) for j in range(i + 1, n)
-                )
-                total = fs[0]
-                for f in fs[1:]:
-                    merged, av, bv = refine(total, f)
-                    total = StepFunction(merged, [a + b for a, b in zip(av, bv)])
-                actual = pth_power_norm(total, p.p)
-                bound = sum_bound(moments, overlaps, p)
-                scale = max(1.0, abs(actual))
-                m = sign * (bound - actual) / scale
-                worst = min(worst, m)
-                if m < -1e-9:
-                    violations += 1
-    return violations, worst
-
-
-def _verify_analysis():
-    exponents = (-2.0, -0.5, 0.5, 0.9, 1.3, 1.7, 2.5, 4.0)
-    xs = np.linspace(1e-3, 1.0, 1000)
-    violations = 0
-    for p_val in exponents:
-        p = classify(p_val)
-        rows = []
-        for x in xs:
-            sv = analysis.sign_of(analysis.v_fn(float(x), p))
-            sg = analysis.sign_of(analysis.g_fn(float(x), p))
-            rows.append((sv, sg))
-        v_signs = {r[0] for r in rows}
-        g_signs = {r[1] for r in rows}
-        v_ok = v_signs <= ({0, -1} if (0 < p_val < 1 or p_val > 2) else {0, 1})
-        if p_val > 0:
-            g_ok = g_signs <= ({0, -1} if 1 < p_val < 2 else {0, 1})
-            h2 = {analysis.sign_of(analysis.h_fn_d2(float(t), p))
-                  for t in np.linspace(1e-3, 1.0, 1000)}
-            h_ok = h2 <= ({0, -1} if 1 < p_val < 2 else {0, 1})
-        else:
-            g_ok = True
-            h2 = {analysis.sign_of(analysis.h_tilde_fn_d2(float(t), p))
-                  for t in np.linspace(1e-3, 1.0, 1000)}
-            h_ok = h2 <= {0, -1}
-        ok = v_ok and g_ok and h_ok
-        if not ok:
-            violations += 1
-        print("p=%s  v:%s g:%s h'':%s  %s"
-              % (fmt(p_val), "ok" if v_ok else "FAIL", "ok" if g_ok else "FAIL",
-                 "ok" if h_ok else "FAIL", "pass" if ok else "VIOLATION"))
-    for p_val in (-1.0, 0.5, 1.5, 3.0):
-        rep = analysis.torsion_sign_changes(classify(p_val))
-        expect = ("minus_to_plus" if (0 < p_val < 1 or p_val > 2)
-                  else "plus_to_minus")
-        ok = rep.count == 1 and rep.direction == expect and abs(rep.location) <= 1e-2
-        if not ok:
-            violations += 1
-        print("torsion p=%s: count=%d location=%s direction=%s  %s"
-              % (fmt(p_val), rep.count, fmt(rep.location), rep.direction,
-                 "pass" if ok else "VIOLATION"))
-    return violations, 0.0
-
-
-def _verify_oracle(n):
-    violations = 0
-    worst = 0.0
-    for p_val in P_GRID:
-        p = classify(p_val)
-        for kind, closed in (("concave", upper_envelope), ("convex", lower_envelope)):
-            oc = EnvelopeOracle(p, kind, n)
-            err = 0.0
-            for s, z in _interior_grid():
-                ov = float(oc.evaluate(np.array(s), np.array(z)))
-                cf = closed(p, ConeTriple(1.0 + s, 1.0 - s, z))
-                err = max(err, abs(ov - cf) / max(1.0, abs(cf)))
-            worst = max(worst, err)
-            if err > 2e-2:
-                violations += 1
-            print("p=%s %s: max rel err %s" % (fmt(p_val), kind, fmt(err)))
-    return violations, worst
-
-
-def _interior_grid(m=20, margin=0.02):
-    pts = []
-    for s in np.linspace(-1.0 + margin, 1.0 - margin, m):
-        zmax = math.sqrt(1.0 - s * s)
-        for z in np.linspace(margin, zmax - margin, m):
-            if z > 0.0 and s * s + z * z < (1.0 - margin) ** 2:
-                pts.append((float(s), float(z)))
-    return pts
-
-
-def cmd_verify(args):
-    if args.suite == "pair":
-        violations, worst = _verify_pair(args.seed, args.samples)
+        violations, worst = (0 if lhs > rhs else 1), lhs - rhs
     elif args.suite == "sum":
-        violations, worst = _verify_sum(args.seed, args.samples, args.p_neg)
+        violations, worst = suites.sum_sweep(args.seed, args.samples)
     elif args.suite == "analysis":
-        violations, worst = _verify_analysis()
-    elif args.suite == "oracle":
-        violations, worst = _verify_oracle(args.n)
-    else:
-        raise ValueError("unknown suite %r" % (args.suite,))
+        for p_val, v_ok, g_ok, h_ok in suites.sign_tables():
+            ok = v_ok and g_ok and h_ok
+            violations += not ok
+            print("p=%s  v:%s g:%s h'':%s  %s"
+                  % (fmt(p_val), "ok" if v_ok else "FAIL",
+                     "ok" if g_ok else "FAIL", "ok" if h_ok else "FAIL",
+                     "pass" if ok else "VIOLATION"))
+        for p_val, rep, ok in suites.torsion_checks():
+            violations += not ok
+            print("torsion p=%s: count=%d location=%s direction=%s  %s"
+                  % (fmt(p_val), rep.count, fmt(rep.location), rep.direction,
+                     "pass" if ok else "VIOLATION"))
+    else:  # oracle
+        for p_val, kind, err in suites.oracle_errors(args.n):
+            worst = max(worst, err)
+            violations += err > 2e-2
+            print("p=%s %s: max rel err %s" % (fmt(p_val), kind, fmt(err)))
     print("violations=%d worst_margin=%s" % (violations, fmt(worst)))
     return 1 if violations else 0
+
+
+def _write_csv(rows, out):
+    """Write the CSV lines to the file ``out``, or to stdout when unset."""
+    text = "\n".join(rows) + "\n"
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def cmd_table(args):
@@ -241,36 +133,17 @@ def cmd_table(args):
                     upper_envelope(p, t), lower_envelope(p, t),
                     carlen_bound(p, t),
                 )))
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.out, exc), file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_csv(rows, args.out)
 
 
 def cmd_oracle_compare(args):
     p = classify(args.p)
-    closed = upper_envelope if args.kind == "concave" else lower_envelope
-    oc = EnvelopeOracle(p, args.kind, args.n)
     rows = ["p,s,z,closed_form,oracle,abs_err,N"]
-    for s, z in _interior_grid(args.grid):
-        cf = closed(p, ConeTriple(1.0 + s, 1.0 - s, z))
-        ov = float(oc.evaluate(np.array(s), np.array(z)))
+    for s, z, cf, ov in suites.oracle_comparison(p, args.kind, args.n,
+                                                 args.grid):
         rows.append(",".join(
             fmt(v) for v in (p.p, s, z, cf, ov, abs(ov - cf))) + ",%d" % args.n)
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_csv(rows, args.out)
 
 
 def build_parser():

@@ -12,7 +12,7 @@ below; which is which depends on the exponent regime.
 import math
 from dataclasses import dataclass, field
 
-from .powers import INF, xpow
+from .powers import xpow
 
 P_MIN = 1e-3
 
@@ -101,17 +101,12 @@ class ConeTriple:
 class DerivedRatios:
     """Normalized coordinates of a cone point.
 
-    gamma (= w) is the overlap ratio 2z/(x+y), zero at the origin.
-    v is min{x/z, y/z, 1}, set to 1 on {z = 0}; c_p coincides with v.
+    gamma is the overlap ratio 2z/(x+y), zero at the origin.
+    v is min{x/z, y/z, 1}, set to 1 on {z = 0}.
     """
 
     gamma: float
     v: float
-    c_p: float
-
-    @property
-    def w(self):
-        return self.gamma
 
     @staticmethod
     def of(t):
@@ -122,11 +117,9 @@ class DerivedRatios:
             gamma = min(2.0 * t.z / s, 1.0)
         if t.z > 0.0:
             v = min(t.x / t.z, t.y / t.z, 1.0)
-            c_p = min(t.x, t.y, t.z) / t.z
         else:
             v = 1.0
-            c_p = 1.0
-        return DerivedRatios(gamma=gamma, v=v, c_p=c_p)
+        return DerivedRatios(gamma=gamma, v=v)
 
 
 def eval_F(p, t):
@@ -140,7 +133,7 @@ def eval_F(p, t):
     s = t.x + t.y
     if s == 0.0:
         return 0.0
-    w = t.ratios.w
+    w = t.ratios.gamma
     r = math.sqrt(max(0.0, (1.0 - w) * (1.0 + w)))
     inv = 1.0 / p.p
     bracket = xpow(1.0 + r, inv) + xpow(w * w / (1.0 + r), inv)

@@ -48,63 +48,33 @@ def _three_block(v0, v1, v2):
     return StepFunction((0.0, 0.5, 0.75, 1.0), (v0, v1, v2))
 
 
-def extremal_G_pos(p, t):
-    """Block pair attaining G_p at t for p > 0.
+def extremal_G(p, t):
+    """Block pair attaining G_p at t.
 
     On the triangular cone z <= min(x,y): shared block a on [0,1/2] plus
     disjoint blocks b, c. Otherwise a two-block pair where the smaller
-    function is a single block fully inside the other's support.
+    function is a single block fully inside the other's support. The
+    blocks outside a function's support hold 0 for p > 0 and +inf for
+    p < 0, which contributes 0 to p-th powers.
     """
-    if p.p <= 0:
-        raise ValueError("extremal_G_pos requires p > 0")
     x, y, z = t.x, t.y, t.z
-    inv = 1.0 / p.p
-    if z <= min(x, y):
-        a = xpow(2.0 * z, inv)
-        b = xpow(4.0 * (x - z), inv)
-        c = xpow(4.0 * (y - z), inv)
-        return _three_block(a, b, 0.0), _three_block(a, 0.0, c)
-    if y <= x:
-        a = xpow(2.0 * z * z / y, inv)
-        b = xpow(2.0 * y, inv)
-        c = xpow(max(0.0, 2.0 * x - 2.0 * z * z / y), inv)
-        f = StepFunction((0.0, 0.5, 1.0), (a, c))
-        g = StepFunction((0.0, 0.5, 1.0), (b, 0.0))
-        return f, g
-    g, f = extremal_G_pos(p, type(t)(y, x, z))
-    return f, g
-
-
-def extremal_G_neg(p, t):
-    """Block pair attaining G_p at t for p < 0.
-
-    Same moment matching as the p > 0 construction with every zero block
-    replaced by +inf (contributing 0 to p-th powers).
-    """
-    if p.p >= 0:
-        raise ValueError("extremal_G_neg requires p < 0")
-    x, y, z = t.x, t.y, t.z
-    if z <= 0.0 or x <= 0.0 or y <= 0.0:
+    if p.p < 0 and (z <= 0.0 or x <= 0.0 or y <= 0.0):
         raise ValueError(
-            "extremal_G_neg needs x, y, z > 0 (the z = 0 value is a limit)"
+            "extremal_G needs x, y, z > 0 for p < 0 (z = 0 is a limit)"
         )
+    off = 0.0 if p.p > 0 else math.inf
     inv = 1.0 / p.p
     if z <= min(x, y):
         a = xpow(2.0 * z, inv)
         b = xpow(4.0 * (x - z), inv)
         c = xpow(4.0 * (y - z), inv)
-        return _three_block(a, b, math.inf), _three_block(a, math.inf, c)
+        return _three_block(a, b, off), _three_block(a, off, c)
     if y <= x:
         a = xpow(2.0 * z * z / y, inv)
         b = xpow(2.0 * y, inv)
         c = xpow(max(0.0, 2.0 * x - 2.0 * z * z / y), inv)
         f = StepFunction((0.0, 0.5, 1.0), (a, c))
-        g = StepFunction((0.0, 0.5, 1.0), (b, math.inf))
+        g = StepFunction((0.0, 0.5, 1.0), (b, off))
         return f, g
-    g, f = extremal_G_neg(p, type(t)(y, x, z))
+    g, f = extremal_G(p, type(t)(y, x, z))
     return f, g
-
-
-def extremal_G(p, t):
-    """Dispatch to the sign-appropriate G_p construction."""
-    return extremal_G_pos(p, t) if p.p > 0 else extremal_G_neg(p, t)

@@ -13,7 +13,6 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .envelopes import ConeTriple, lower_envelope, upper_envelope
 from .extremal import extremal_F, extremal_G
 from .powers import xpow
 from .stepfun import sum_norm

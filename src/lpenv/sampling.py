@@ -7,7 +7,6 @@ p < 0) to exercise the extended-real conventions.
 
 import numpy as np
 
-from .envelopes import ConeTriple
 from .powers import INF
 from .stepfun import StepFunction
 
@@ -34,11 +33,3 @@ def random_step_function(rng, p):
 
 def random_pair(rng, p):
     return random_step_function(rng, p), random_step_function(rng, p)
-
-
-def random_triple(rng):
-    """A uniform-ish random interior point of the cone."""
-    x = float(np.exp(rng.uniform(-2.0, 2.0)))
-    y = float(np.exp(rng.uniform(-2.0, 2.0)))
-    z = float(rng.uniform(0.0, 1.0)) * np.sqrt(x * y)
-    return ConeTriple(x, y, float(z))

@@ -9,7 +9,7 @@ tolerances anywhere are floating-point slack.
 import json
 import math
 
-from .envelopes import BoundReport, ConeTriple, classify
+from .envelopes import BoundReport, ConeTriple
 from .powers import INF, xpow
 
 
@@ -74,18 +74,13 @@ def refine(f, g):
     return merged, fv, gv
 
 
-def _interval_power(value, p):
-    """value^p with the p<0 conventions (0^p = +inf, inf^p = 0)."""
-    return xpow(value, p)
-
-
 def pth_power_norm(f, p):
     """The p-th power integral of f; may legally be +inf for p < 0."""
     if p == 0:
         raise ValueError("p must be nonzero")
     total = 0.0
     for (a, b), v in zip(zip(f.breakpoints, f.breakpoints[1:]), f.values):
-        term = _interval_power(v, p)
+        term = xpow(v, p)
         if math.isinf(term):
             return INF
         total += (b - a) * term
@@ -107,7 +102,7 @@ def overlap_norm(f, g, p):
             if p >= 0:
                 return INF
             continue
-        term = _interval_power(fv[i] * gv[i], half)
+        term = xpow(fv[i] * gv[i], half)
         if math.isinf(term):
             return INF
         total += (merged[i + 1] - merged[i]) * term
@@ -133,7 +128,7 @@ def sum_norm(f, g, p):
     total = 0.0
     for i in range(len(fv)):
         s = fv[i] + gv[i]
-        term = _interval_power(s, p)
+        term = xpow(s, p)
         if math.isinf(term):
             return INF
         total += (merged[i + 1] - merged[i]) * term
@@ -141,8 +136,7 @@ def sum_norm(f, g, p):
 
 
 def sum_and_report(f, g, p):
-    """Evaluate |f+g|_p^p and compare it against every applicable bound."""
-    exponent = p if hasattr(p, "p") else classify(p)
-    t = triple_of_pair(f, g, exponent.p)
-    actual = sum_norm(f, g, exponent.p)
-    return BoundReport.at(exponent, t, actual)
+    """Evaluate |f+g|_p^p and compare it against every applicable bound
+    for the Exponent ``p``."""
+    t = triple_of_pair(f, g, p.p)
+    return BoundReport.at(p, t, sum_norm(f, g, p.p))

@@ -1,0 +1,177 @@
+"""The verification suites behind ``lpenv verify`` and the acceptance tests.
+
+Each suite is written once here and returns plain values; the CLI prints
+them and the acceptance tests hold them to their own thresholds, each
+caller with its own seeds, sample counts and grids.
+"""
+
+import math
+
+import numpy as np
+
+from . import analysis
+from .envelopes import (ConeTriple, classify, lower_envelope, sum_bound,
+                        upper_envelope)
+from .oracle import EnvelopeOracle
+from .sampling import random_pair, random_step_function, substreams
+from .stepfun import (StepFunction, overlap_norm, pth_power_norm, refine,
+                      sum_and_report)
+
+P_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)
+SUM_UPPER_PS = (1.0, 1.5, 2.0)
+SUM_LOWER_PS = (0.5, 1.0, 2.0, 3.0)
+SIGN_EXPONENTS = (-2.0, -0.5, 0.5, 0.9, 1.3, 1.7, 2.5, 4.0)
+TORSION_EXPONENTS = (-1.0, 0.5, 1.5, 3.0)
+
+# A margin below -MARGIN_TOL is a violated bound.
+MARGIN_TOL = 1e-9
+
+
+def _tally(margins):
+    """(number of violated margins, smallest margin) of an iterable."""
+    violations = 0
+    worst = math.inf
+    for m in margins:
+        worst = min(worst, m)
+        if m < -MARGIN_TOL:
+            violations += 1
+    return violations, worst
+
+
+def pair_sweep(seed, samples):
+    """The sandwich lower <= |f+g|_p^p <= upper on random pairs.
+
+    Each exponent of P_GRID draws ``samples // len(P_GRID)`` pairs (at
+    least one) from its own substream of ``seed``. Returns (violations,
+    worst margin) over both sides.
+    """
+    per = max(1, samples // len(P_GRID))
+
+    def margins():
+        for p_val, rng in zip(P_GRID, substreams(seed, len(P_GRID))):
+            p = classify(p_val)
+            for _ in range(per):
+                f, g = random_pair(rng, p.p)
+                m = sum_and_report(f, g, p).margins
+                yield min(m["upper"], m["lower"])
+
+    return _tally(margins())
+
+
+def many_sweep(cases, per, draw):
+    """The many-function bound on ``per`` random sums for each case.
+
+    ``cases`` holds (p, upper, rng) triples; the bound is read as an upper
+    bound when ``upper``, a lower bound otherwise. Each sum has 3 to 8
+    terms, its length drawn from ``rng`` and each term by ``draw(rng, p)``.
+    Returns (violations, worst margin).
+    """
+    def margins():
+        for p_val, upper, rng in cases:
+            p = classify(p_val)
+            sign = 1.0 if upper else -1.0
+            for _ in range(per):
+                fs = [draw(rng, p.p) for _ in range(int(rng.integers(3, 9)))]
+                moments = [pth_power_norm(f, p.p) for f in fs]
+                overlaps = sum(overlap_norm(f, g, p.p)
+                               for i, f in enumerate(fs) for g in fs[i + 1:])
+                total = fs[0]
+                for f in fs[1:]:
+                    merged, av, bv = refine(total, f)
+                    total = StepFunction(merged, [a + b for a, b in zip(av, bv)])
+                actual = pth_power_norm(total, p.p)
+                bound = sum_bound(moments, overlaps, p)
+                yield sign * (bound - actual) / max(1.0, abs(actual))
+
+    return _tally(margins())
+
+
+def sum_sweep(seed, samples):
+    """many_sweep over SUM_UPPER_PS (upper bound) and SUM_LOWER_PS (lower
+    bound), one substream of ``seed`` each, ``samples`` sums in all."""
+    upper, lower = substreams(seed, 2)
+    cases = ([(p, True, upper) for p in SUM_UPPER_PS]
+             + [(p, False, lower) for p in SUM_LOWER_PS])
+    return many_sweep(cases, max(1, samples // len(cases)), random_step_function)
+
+
+def p_neg_counterexample():
+    """(lhs, bound) of the many-function bound at p = -1 for three unit
+    constants: lhs = 1/3 and bound = 3 + (2^-1 - 2) * 3 = -1.5. The bound
+    fails, so it does not extend to p < 0."""
+    lhs = pth_power_norm(StepFunction.constant(3.0), -1.0)
+    return lhs, 3.0 + (2.0 ** -1.0 - 2.0) * 3.0
+
+
+def sign_tables():
+    """Yield (p, v_ok, g_ok, h_ok) for each exponent of SIGN_EXPONENTS.
+
+    Each flag says that the function keeps the paper's sign at all 1000
+    points of [1e-3, 1]: v, g and h'' for p > 0, v and h~'' for p < 0,
+    where g is not defined and g_ok is True.
+    """
+    xs = np.linspace(1e-3, 1.0, 1000)
+
+    def signs(fn, p):
+        return {analysis.sign_of(fn(float(x), p)) for x in xs}
+
+    for p_val in SIGN_EXPONENTS:
+        p = classify(p_val)
+        v_ok = signs(analysis.v_fn, p) <= (
+            {0, -1} if (0 < p_val < 1 or p_val > 2) else {0, 1})
+        if p_val > 0:
+            want = {0, -1} if 1 < p_val < 2 else {0, 1}
+            g_ok = signs(analysis.g_fn, p) <= want
+            h_ok = signs(analysis.h_fn_d2, p) <= want
+        else:
+            g_ok = True
+            h_ok = signs(analysis.h_tilde_fn_d2, p) <= {0, -1}
+        yield p_val, v_ok, g_ok, h_ok
+
+
+def torsion_checks(grid=512):
+    """Yield (p, report, ok) for each exponent of TORSION_EXPONENTS: ok
+    when the torsion of the boundary curve changes sign exactly once,
+    within 1e-2 of s = 0 and in the direction the paper gives."""
+    for p_val in TORSION_EXPONENTS:
+        rep = analysis.torsion_sign_changes(classify(p_val), grid=grid)
+        expect = ("minus_to_plus" if (0 < p_val < 1 or p_val > 2)
+                  else "plus_to_minus")
+        ok = (rep.count == 1 and rep.direction == expect
+              and abs(rep.location) <= 1e-2)
+        yield p_val, rep, ok
+
+
+def interior_grid(m=20, margin=0.02):
+    """Points (s, z) of an m x m grid kept ``margin`` inside the half-disc."""
+    pts = []
+    for s in np.linspace(-1.0 + margin, 1.0 - margin, m):
+        zmax = math.sqrt(1.0 - s * s)
+        for z in np.linspace(margin, zmax - margin, m):
+            if z > 0.0 and s * s + z * z < (1.0 - margin) ** 2:
+                pts.append((float(s), float(z)))
+    return pts
+
+
+def oracle_comparison(p, kind, n, m=20):
+    """(s, z, closed form, oracle) at each point of interior_grid(m), for
+    the envelope of the given kind and its n-point hull oracle queried one
+    point at a time."""
+    closed = upper_envelope if kind == "concave" else lower_envelope
+    oc = EnvelopeOracle(p, kind, n)
+    return [(s, z, closed(p, ConeTriple(1.0 + s, 1.0 - s, z)),
+             float(oc.evaluate(np.array(s), np.array(z))))
+            for s, z in interior_grid(m)]
+
+
+def oracle_errors(n):
+    """Yield (p, kind, err) for each exponent of P_GRID and envelope kind:
+    err is the largest |oracle - closed form| / max(1, |closed form|) of
+    oracle_comparison(p, kind, n)."""
+    for p_val in P_GRID:
+        p = classify(p_val)
+        for kind in ("concave", "convex"):
+            err = 0.0
+            for _, _, cf, ov in oracle_comparison(p, kind, n):
+                err = max(err, abs(ov - cf) / max(1.0, abs(cf)))
+            yield p_val, kind, err

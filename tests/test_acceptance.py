@@ -10,17 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from lpenv import analysis
+from lpenv import analysis, suites
 from lpenv.envelopes import (ConeTriple, carlen_bound, classify, eval_F,
                              eval_G, lower_envelope, upper_envelope)
 from lpenv.extremal import extremal_F, extremal_G
-from lpenv.oracle import EnvelopeOracle
 from lpenv.powers import xpow
 from lpenv.sampling import random_pair, substreams
-from lpenv.stepfun import (StepFunction, overlap_norm, pth_power_norm, refine,
-                           sum_norm, triple_of_pair)
-
-P_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)
+from lpenv.stepfun import StepFunction, sum_norm, triple_of_pair
+from lpenv.suites import P_GRID
 
 
 def report(num, name, ok, detail=""):
@@ -63,25 +60,7 @@ def test_criterion_1_p2_identity():
 
 def test_criterion_2_sandwich():
     start = time.monotonic()
-    rngs = substreams(202, len(P_GRID))
-    per = 100_000 // len(P_GRID)
-    violations = 0
-    worst = math.inf
-    for p_val, rng in zip(P_GRID, rngs):
-        p = classify(p_val)
-        for _ in range(per):
-            f, g = random_pair(rng, p_val)
-            try:
-                t = triple_of_pair(f, g, p_val)
-            except ValueError:
-                continue  # planted degenerate atom made a norm infinite
-            actual = sum_norm(f, g, p_val)
-            up, lo = upper_envelope(p, t), lower_envelope(p, t)
-            scale = max(1.0, abs(actual))
-            m = min((up - actual) / scale, (actual - lo) / scale)
-            worst = min(worst, m)
-            if m < -1e-9:
-                violations += 1
+    violations, worst = suites.pair_sweep(202, 100_000)
     elapsed = time.monotonic() - start
     ok = violations == 0 and elapsed < 60.0
     report(2, "theorem sandwich", ok,
@@ -148,75 +127,37 @@ def test_criterion_4_extremal_attainment():
            "triple_err=%.2e attain_err=%.2e" % (worst_triple, worst_attain))
 
 
-def _oracle_error(p, n, pts):
-    worst = 0.0
-    ss = np.array([q[0] for q in pts])
-    zs = np.array([q[1] for q in pts])
-    for kind, closed in (("concave", upper_envelope), ("convex", lower_envelope)):
-        oc = EnvelopeOracle(p, kind, n)
-        ovs = oc.evaluate(ss, zs)
-        cfs = np.array([closed(p, ConeTriple(1 + s, 1 - s, z)) for s, z in pts])
-        worst = max(worst, float(np.max(np.abs(ovs - cfs) / np.maximum(1.0, np.abs(cfs)))))
-    return worst
+def _worst_per_p(rows):
+    rows = list(rows)
+    return {p: max(err for q, _, err in rows if q == p) for p in P_GRID}
 
 
 def test_criterion_5_oracle_agreement():
     start = time.monotonic()
-    margin = 0.02
-    pts = []
-    for s in np.linspace(-1 + margin, 1 - margin, 20):
-        zmax = math.sqrt(1 - s * s)
-        for z in np.linspace(margin, zmax - margin, 20):
-            if z > 0 and s * s + z * z < (1 - margin) ** 2:
-                pts.append((float(s), float(z)))
-    ok = True
-    detail = []
-    for p_val in P_GRID:
-        p = classify(p_val)
-        e128 = _oracle_error(p, 128, pts)
-        e512 = _oracle_error(p, 512, pts)
-        good = e512 <= 2e-2 and e512 <= e128 + 1e-3
-        ok = ok and good
-        detail.append("p=%g:%.1e" % (p_val, e512))
+    e128 = _worst_per_p(suites.oracle_errors(128))
+    e512 = _worst_per_p(suites.oracle_errors(512))
+    ok = all(e512[p] <= 2e-2 and e512[p] <= e128[p] + 1e-3 for p in P_GRID)
+    detail = ["p=%g:%.1e" % (p, e512[p]) for p in P_GRID]
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 120.0
     report(5, "oracle agreement", ok, " ".join(detail) + " t=%.1fs" % elapsed)
 
 
 def test_criterion_6_sign_tables():
-    exponents = (-2.0, -0.5, 0.5, 0.9, 1.3, 1.7, 2.5, 4.0)
-    xs = np.linspace(1e-3, 1.0, 1000)
-    ok = True
     issues = []
-    for p_val in exponents:
+    for p_val, v_ok, g_ok, h_ok in suites.sign_tables():
         p = classify(p_val)
-        v_want = -1 if (0 < p_val < 1 or p_val > 2) else 1
-        if any(analysis.sign_of(analysis.v_fn(float(x), p)) not in (0, v_want)
-               for x in xs):
-            ok = False
+        if not v_ok:
             issues.append("v@%g" % p_val)
         if abs(analysis.v_fn(1.0, p)) > 1e-12:
-            ok = False
             issues.append("v(1)@%g" % p_val)
         if p_val > 0:
-            g_want = -1 if 1 < p_val < 2 else 1
-            if any(analysis.sign_of(analysis.g_fn(float(x), p)) not in (0, g_want)
-                   for x in xs):
-                ok = False
+            if not g_ok:
                 issues.append("g@%g" % p_val)
             if analysis.g_fn(0.0, p) != 0.0:
-                ok = False
                 issues.append("g(0)@%g" % p_val)
-            h_want = g_want
-            if any(analysis.sign_of(analysis.h_fn_d2(float(t), p)) not in (0, h_want)
-                   for t in xs):
-                ok = False
-                issues.append("h''@%g" % p_val)
-        else:
-            if any(analysis.sign_of(analysis.h_tilde_fn_d2(float(t), p)) == 1
-                   for t in xs):
-                ok = False
-                issues.append("ht''@%g" % p_val)
+        if not h_ok:
+            issues.append(("h''@%g" if p_val > 0 else "ht''@%g") % p_val)
     # closed-form derivatives against central differences of the level below
     step = 1e-5
     fd_worst = 0.0
@@ -240,40 +181,27 @@ def test_criterion_6_sign_tables():
                 abs(analysis.h_tilde_fn_d1(t, p) - fd1) / max(1.0, abs(fd1)),
                 abs(analysis.h_tilde_fn_d2(t, p) - fd2) / max(1.0, abs(fd2)),
             )
-    ok = ok and fd_worst <= 1e-6
+    ok = not issues and fd_worst <= 1e-6
     report(6, "sign tables", ok,
            "issues=%s fd_err=%.2e" % (",".join(issues) or "none", fd_worst))
 
 
+def _step_function(rng, p):
+    """Criterion 7's own draw: 1 to 4 blocks with values exp(U[-2, 2])."""
+    k = int(rng.integers(1, 5))
+    bps = np.concatenate(([0.0], np.sort(rng.uniform(0, 1, k - 1)), [1.0])) \
+        if k > 1 else np.array([0.0, 1.0])
+    return StepFunction(np.unique(bps), np.exp(rng.uniform(-2, 2, len(np.unique(bps)) - 1)))
+
+
 def test_criterion_7_many_functions():
     rng = np.random.default_rng(707)
-    violations = 0
-    for p_val, upper in (((1.0), True), (1.5, True), (2.0, True),
-                         (0.5, False), (1.0, False), (2.0, False), (3.0, False)):
-        for _ in range(60):
-            n = int(rng.integers(3, 9))
-            fs = []
-            for _ in range(n):
-                k = int(rng.integers(1, 5))
-                bps = np.concatenate(([0.0], np.sort(rng.uniform(0, 1, k - 1)), [1.0])) \
-                    if k > 1 else np.array([0.0, 1.0])
-                fs.append(StepFunction(np.unique(bps), np.exp(rng.uniform(-2, 2, len(np.unique(bps)) - 1))))
-            moments = [pth_power_norm(f, p_val) for f in fs]
-            overlaps = sum(overlap_norm(fs[i], fs[j], p_val)
-                           for i in range(n) for j in range(i + 1, n))
-            total = fs[0]
-            for f in fs[1:]:
-                merged, av, bv = refine(total, f)
-                total = StepFunction(merged, [a + b for a, b in zip(av, bv)])
-            actual = pth_power_norm(total, p_val)
-            bound = math.fsum(moments) + (2.0 ** p_val - 2.0) * overlaps
-            scale = max(1.0, abs(actual))
-            margin = (bound - actual) / scale if upper else (actual - bound) / scale
-            if margin < -1e-9:
-                violations += 1
+    cases = [(p_val, upper, rng) for p_val, upper in (
+        (1.0, True), (1.5, True), (2.0, True),
+        (0.5, False), (1.0, False), (2.0, False), (3.0, False))]
+    violations, _ = suites.many_sweep(cases, 60, _step_function)
     # the p = -1 counterexample with three unit constants, exactly
-    lhs = pth_power_norm(StepFunction.constant(3.0), -1.0)
-    rhs = 3.0 + (2.0 ** -1.0 - 2.0) * 3.0
+    lhs, rhs = suites.p_neg_counterexample()
     counterexample = (lhs == pytest.approx(1.0 / 3.0, abs=0) and rhs == -1.5
                       and lhs > rhs)
     ok = violations == 0 and counterexample
@@ -282,15 +210,10 @@ def test_criterion_7_many_functions():
 
 
 def test_criterion_8_torsion():
-    ok = True
-    details = []
-    for p_val in (-1.0, 0.5, 1.5, 3.0):
-        rep = analysis.torsion_sign_changes(classify(p_val), grid=256)
-        expect = ("minus_to_plus" if (0 < p_val < 1 or p_val > 2)
-                  else "plus_to_minus")
-        good = rep.count == 1 and rep.direction == expect and abs(rep.location) <= 1e-2
-        ok = ok and good
-        details.append("p=%g:%d@%.1e" % (p_val, rep.count, rep.location))
+    checks = list(suites.torsion_checks(grid=256))
+    ok = all(good for _, _, good in checks)
+    details = ["p=%g:%d@%.1e" % (p_val, rep.count, rep.location)
+               for p_val, rep, _ in checks]
     report(8, "torsion single sign change", ok, " ".join(details))
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lpenv import suites
 from lpenv.cli import main
 from lpenv.stepfun import StepFunction
 
@@ -71,7 +72,38 @@ class TestExtremal:
         assert obj["achieved"] == pytest.approx(0.25, rel=1e-9)
 
 
+def p_neg_summary():
+    lhs, rhs = suites.p_neg_counterexample()
+    return (0 if lhs > rhs else 1), lhs - rhs
+
+
+def analysis_summary():
+    signs = sum(not (v and g and h) for _, v, g, h in suites.sign_tables())
+    torsion = sum(not ok for _, _, ok in suites.torsion_checks())
+    return signs + torsion, 0.0
+
+
+def oracle_summary(n):
+    errs = [err for _, _, err in suites.oracle_errors(n)]
+    return sum(err > 2e-2 for err in errs), max(errs)
+
+
 class TestVerify:
+    @pytest.mark.parametrize("argv, expect", [
+        (["pair", "--seed", "5", "--samples", "44"],
+         lambda: suites.pair_sweep(5, 44)),
+        (["sum", "--seed", "5", "--samples", "14"],
+         lambda: suites.sum_sweep(5, 14)),
+        (["sum", "--p-neg"], p_neg_summary),
+        (["analysis"], analysis_summary),
+        (["oracle", "--n", "64"], lambda: oracle_summary(64)),
+    ], ids=["pair", "sum", "sum-p-neg", "analysis", "oracle"])
+    def test_summary_line_from_suites(self, capsys, argv, expect):
+        _, out, _ = run(capsys, "verify", *argv)
+        violations, worst = expect()
+        assert out.splitlines()[-1] == "violations=%d worst_margin=%s" % (
+            violations, format(float(worst), ".17g"))
+
     def test_pair_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "pair", "--seed", "7",
                            "--samples", "1100")
@@ -126,9 +158,10 @@ class TestTable:
         assert code == 2
 
     def test_unwritable_path_exit2(self, capsys):
-        code, _, _ = run(capsys, "table", "--p-list", "2", "--grid", "3",
-                         "--out", "/nonexistent-dir/t.csv")
+        code, _, err = run(capsys, "table", "--p-list", "2", "--grid", "3",
+                           "--out", "/nonexistent-dir/t.csv")
         assert code == 2
+        assert err.startswith("error:")
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "table", "--p-list", "1.5", "--grid", "6")
@@ -148,3 +181,9 @@ class TestOracleCompare:
             assert len(fields) == 7
             assert fields[-1] == "64"
             assert float(fields[5]) < 0.5
+
+    def test_unwritable_path_exit2(self, capsys):
+        code, _, err = run(capsys, "oracle-compare", "-p", "3", "--n", "64",
+                           "--grid", "4", "--out", "/nonexistent-dir/o.csv")
+        assert code == 2
+        assert err.startswith("error:")

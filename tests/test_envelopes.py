@@ -45,13 +45,12 @@ class TestConeTriple:
 
     def test_ratios(self):
         r = ConeTriple(1.0, 1.0, 0.5).ratios
-        assert r.gamma == 0.5 == r.w
-        assert r.v == 1.0 == r.c_p
+        assert r.gamma == 0.5
+        assert r.v == 1.0
         r = ConeTriple(1.0, 0.25, 0.4).ratios
         assert r.v == pytest.approx(0.625, abs=0)
-        assert r.c_p == r.v
         r = ConeTriple(2.0, 3.0, 0.0).ratios
-        assert r.v == 1.0 and r.c_p == 1.0 and r.gamma == 0.0
+        assert r.v == 1.0 and r.gamma == 0.0
         assert ConeTriple(0.0, 0.0, 0.0).ratios.gamma == 0.0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lpenv.envelopes import ConeTriple, classify, eval_F, eval_G
-from lpenv.extremal import extremal_F, extremal_G, extremal_G_neg, extremal_G_pos
+from lpenv.extremal import extremal_F, extremal_G
 from lpenv.powers import INF
 from lpenv.stepfun import sum_and_report, sum_norm, triple_of_pair
 
@@ -88,20 +88,20 @@ class TestExtremalGPos:
     def test_triangle_example(self):
         p = classify(1.5)
         t = ConeTriple(1, 1, 0.5)
-        f, g = extremal_G_pos(p, t)
+        f, g = extremal_G(p, t)
         assert_roundtrip(f, g, p, t)
         assert sum_norm(f, g, 1.5) == pytest.approx(eval_G(p, t), rel=1e-12)
 
     def test_two_block_example(self):
         p = classify(1.5)
         t = ConeTriple(1, 0.25, 0.4)
-        f, g = extremal_G_pos(p, t)
+        f, g = extremal_G(p, t)
         assert_roundtrip(f, g, p, t)
         assert sum_norm(f, g, 1.5) == pytest.approx(1.5763933952917516, rel=1e-12)
 
     def test_zero_overlap_disjoint(self):
         p = classify(1.5)
-        f, g = extremal_G_pos(p, ConeTriple(1.0, 2.0, 0.0))
+        f, g = extremal_G(p, ConeTriple(1.0, 2.0, 0.0))
         assert sum_norm(f, g, 1.5) == pytest.approx(3.0, rel=1e-12)
 
     def test_f_equals_g_on_shared_support(self):
@@ -110,7 +110,7 @@ class TestExtremalGPos:
         rng = np.random.default_rng(3)
         for t in random_triples(rng, 20):
             tt = ConeTriple(t.x, t.y, min(t.x, t.y) * 0.8)
-            f, g = extremal_G_pos(p, tt)
+            f, g = extremal_G(p, tt)
             for fv, gv in zip(f.values, g.values):
                 if fv > 0 and gv > 0:
                     assert fv == gv
@@ -120,7 +120,7 @@ class TestExtremalGPos:
         p = classify(p_val)
         rng = np.random.default_rng(int(10 * p_val) + 5)
         for t in random_triples(rng, 50):
-            f, g = extremal_G_pos(p, t)
+            f, g = extremal_G(p, t)
             assert_roundtrip(f, g, p, t)
             assert sum_norm(f, g, p_val) == pytest.approx(eval_G(p, t), rel=1e-9)
 
@@ -129,25 +129,25 @@ class TestExtremalGNeg:
     def test_basic(self):
         p = classify(-1)
         t = ConeTriple(1, 1, 0.5)
-        f, g = extremal_G_neg(p, t)
+        f, g = extremal_G(p, t)
         assert_roundtrip(f, g, p, t)
         assert sum_norm(f, g, -1.0) == pytest.approx(0.25, rel=1e-12)
 
     def test_rejects_zero_overlap(self):
         with pytest.raises(ValueError):
-            extremal_G_neg(classify(-1), ConeTriple(1.0, 1.0, 0.0))
+            extremal_G(classify(-1), ConeTriple(1.0, 1.0, 0.0))
 
     def test_edge_z_equals_min(self):
         p = classify(-1)
         t = ConeTriple(2.0, 0.5, 0.5)
-        f, g = extremal_G_neg(p, t)
+        f, g = extremal_G(p, t)
         assert_roundtrip(f, g, p, t)
         assert sum_norm(f, g, -1.0) == pytest.approx(eval_G(p, t), rel=1e-9)
 
     def test_mirrored_case(self):
         p = classify(-2)
         t = ConeTriple(0.5, 2.0, 0.8)
-        f, g = extremal_G_neg(p, t)
+        f, g = extremal_G(p, t)
         assert_roundtrip(f, g, p, t)
         assert sum_norm(f, g, -2.0) == pytest.approx(eval_G(p, t), rel=1e-9)
 
@@ -156,7 +156,7 @@ class TestExtremalGNeg:
         p = classify(p_val)
         rng = np.random.default_rng(int(-10 * p_val) + 9)
         for t in random_triples(rng, 50, positive_z=True):
-            f, g = extremal_G_neg(p, t)
+            f, g = extremal_G(p, t)
             assert_roundtrip(f, g, p, t)
             assert sum_norm(f, g, p_val) == pytest.approx(eval_G(p, t), rel=1e-9)
 

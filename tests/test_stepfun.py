@@ -128,7 +128,7 @@ class TestSumAndReport:
         rng = substreams(5, 1)[0]
         for _ in range(50):
             f, g = random_pair(rng, 2.0)
-            rep = sum_and_report(f, g, 2.0)
+            rep = sum_and_report(f, g, classify(2.0))
             t = rep.triple
             assert rep.actual == pytest.approx(t.x + t.y + 2 * t.z, rel=1e-12)
             assert abs(rep.margins["upper"]) < 1e-12
@@ -138,13 +138,13 @@ class TestSumAndReport:
         rng = substreams(6, 1)[0]
         for _ in range(50):
             f, g = random_pair(rng, 1.0)
-            rep = sum_and_report(f, g, 1.0)
+            rep = sum_and_report(f, g, classify(1.0))
             assert rep.actual == pytest.approx(rep.triple.x + rep.triple.y, rel=1e-12)
 
     def test_p3_margin_signs(self):
         f = chi(0.0, 0.5, 2.0)
         g = StepFunction.constant(1.0)
-        rep = sum_and_report(f, g, 3.0)
+        rep = sum_and_report(f, g, classify(3.0))
         # direct quadrature: 3^3/2 + 1/2 = 14
         assert rep.actual == pytest.approx(14.0)
         assert rep.margins["upper"] >= -1e-12
