@@ -113,15 +113,13 @@ def _curve_point(p, s):
     return np.array([s, math.sqrt(max(0.0, 1.0 - s * s)), boundary_value(p, s)])
 
 
-def _fd(fun, s, h, order):
+def _fd(f, h, order):
     """Fourth-order central differences for derivatives 1 and 2, second
-    order for derivative 3."""
-    f = {k: fun(s + k * h) for k in (-3, -2, -1, 1, 2, 3)}
+    order for derivative 3, from the values f[k] = fun(s + k*h)."""
     if order == 1:
         return (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * h)
     if order == 2:
-        f0 = fun(s)
-        return (-f[2] + 16 * f[1] - 30 * f0 + 16 * f[-1] - f[-2]) / (12 * h * h)
+        return (-f[2] + 16 * f[1] - 30 * f[0] + 16 * f[-1] - f[-2]) / (12 * h * h)
     if order == 3:
         return (f[2] - 2 * f[1] + 2 * f[-1] - f[-2]) / (2 * h ** 3)
     raise ValueError(order)
@@ -154,9 +152,11 @@ def torsion_sign_changes(p, grid=512, margin=1e-3):
         if abs(s) + 3 * h3 >= 1.0:
             blowups.append(float(s))
             continue
-        d1 = _fd(fun, s, h12, 1)
-        d2 = _fd(fun, s, h12, 2)
-        d3 = _fd(fun, s, h3, 3)
+        fine = {k: fun(s + k * h12) for k in (-2, -1, 0, 1, 2)}
+        coarse = {k: fun(s + k * h3) for k in (-2, -1, 1, 2)}
+        d1 = _fd(fine, h12, 1)
+        d2 = _fd(fine, h12, 2)
+        d3 = _fd(coarse, h3, 3)
         cross = np.cross(d1, d2)
         denom = float(cross @ cross)
         tau = float(cross @ d3) / denom if denom > 0 else math.nan

@@ -2,7 +2,7 @@
 
 Subcommands: bound, extremal, verify, table, oracle-compare. All floating
 output is printed with 17 significant digits; exit status is 0 on pass,
-1 on an inequality/suite violation, 2 on invalid input.
+1 on an inequality/suite violation, 2 on invalid input or an overflow.
 """
 
 import argparse
@@ -192,7 +192,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ below; which is which depends on the exponent regime.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .powers import xpow
@@ -35,7 +36,8 @@ class Exponent:
 
     def __post_init__(self):
         p = self.p
-        if not isinstance(p, (int, float)) or not math.isfinite(p):
+        if (isinstance(p, bool) or not isinstance(p, numbers.Real)
+                or not math.isfinite(p)):
             raise ValueError("exponent must be a finite real, got %r" % (p,))
         p = float(p)
         if abs(p) < P_MIN:

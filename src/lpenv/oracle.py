@@ -8,6 +8,7 @@ the true envelope, converging as the resolution grows, and never consults
 the closed forms it is used to check.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -50,52 +51,91 @@ class BoundaryCurve:
         self.values = np.concatenate((semi_v, diam_v))
 
 
+# Elements in each of evaluate's two scratch buffers (8 bytes apiece).
+_BLOCK_ELEMENTS = 1 << 16
+
+_OPPOSITE = {"concave": "convex", "convex": "concave"}
+
+
 class EnvelopeOracle:
-    """Concave or convex envelope of a BoundaryCurve's node data."""
+    """Concave or convex envelope of a BoundaryCurve's node data.
+
+    One qhull build carries both kinds: the concave envelope is read off
+    the upper facets of the hull and the convex one off the lower facets,
+    so ``opposite`` gives the other kind without a second build.
+    """
 
     def __init__(self, p, kind, n=512):
-        if kind not in ("concave", "convex"):
+        if kind not in _OPPOSITE:
             raise ValueError("kind must be 'concave' or 'convex'")
         curve = BoundaryCurve(p, n)
         self.curve = curve
         self.kind = kind
-        pts = np.column_stack((curve.nodes, curve.values))
-        self._planes = self._facet_planes(pts, kind)
+        self._planes = self._facet_planes(
+            np.column_stack((curve.nodes, curve.values)))
 
     @staticmethod
-    def _facet_planes(pts, kind):
+    def _facet_planes(pts):
+        """{kind: (a, b, c)}, the planes v = a*s + b*z + c of that kind's
+        facets, each column a contiguous array."""
         # Flat data (p = 1, 2) breaks qhull; fall back to a least-squares
-        # plane when the points are exactly coplanar.
+        # plane, the envelope of both kinds, when the points are exactly
+        # coplanar.
         coeff, res, _, _ = np.linalg.lstsq(
             np.column_stack((pts[:, :2], np.ones(len(pts)))), pts[:, 2], rcond=None
         )
         fitted = pts[:, :2] @ coeff[:2] + coeff[2]
         if np.max(np.abs(fitted - pts[:, 2])) < 1e-9 * max(1.0, np.max(np.abs(pts[:, 2]))):
-            return np.array([[coeff[0], coeff[1], coeff[2]]])
-        hull = ConvexHull(pts)
-        eqs = hull.equations  # a*s + b*z + c*v + d <= 0 inside
-        sign = 1.0 if kind == "concave" else -1.0
-        keep = sign * eqs[:, 2] > 1e-12
-        eqs = eqs[keep]
-        # v = alpha*s + beta*z + gamma on each facet plane
-        return np.column_stack(
-            (-eqs[:, 0] / eqs[:, 2], -eqs[:, 1] / eqs[:, 2], -eqs[:, 3] / eqs[:, 2])
-        )
+            plane = tuple(np.array([c]) for c in coeff)
+            return {"concave": plane, "convex": plane}
+        eqs = ConvexHull(pts).equations  # a*s + b*z + c*v + d <= 0 inside
+        planes = {}
+        for kind, sign in (("concave", 1.0), ("convex", -1.0)):
+            keep = eqs[sign * eqs[:, 2] > 1e-12]
+            planes[kind] = (-keep[:, 0] / keep[:, 2], -keep[:, 1] / keep[:, 2],
+                            -keep[:, 3] / keep[:, 2])
+        return planes
+
+    def opposite(self):
+        """The oracle of the other kind over the same curve and hull."""
+        other = copy.copy(self)
+        other.kind = _OPPOSITE[self.kind]
+        return other
 
     def evaluate(self, s, z):
+        """Envelope estimate at the points (s, z) of the closed half-disc D.
+
+        ``s`` and ``z`` broadcast against each other by numpy's rules; the
+        result has their broadcast shape, and is a float when both are
+        scalars. Each value is the min (concave) or max (convex) over the
+        facet planes. Query points are scanned in blocks of rows x planes
+        that fit two scratch buffers of at most _BLOCK_ELEMENTS elements,
+        so memory stays bounded for any number of points.
+        """
         s = np.asarray(s, dtype=float)
         z = np.asarray(z, dtype=float)
         if np.any(np.abs(s) > 1.0 + 1e-12) or np.any(z < -1e-12) or np.any(
             s * s + z * z > 1.0 + 1e-9
         ):
             raise ValueError("query outside the closed half-disc D")
-        vals = (
-            self._planes[:, 0][:, None] * s.ravel()[None, :]
-            + self._planes[:, 1][:, None] * z.ravel()[None, :]
-            + self._planes[:, 2][:, None]
-        )
-        best = vals.min(axis=0) if self.kind == "concave" else vals.max(axis=0)
-        return best.reshape(s.shape) if s.shape else float(best[0])
+        s, z = np.broadcast_arrays(s, z)
+        shape = s.shape
+        s, z = s.ravel(), z.ravel()
+        a, b, c = self._planes[self.kind]
+        reduce = np.minimum.reduce if self.kind == "concave" else np.maximum.reduce
+        rows = max(1, _BLOCK_ELEMENTS // len(a))
+        vals = np.empty((min(rows, s.size), len(a)))
+        terms = np.empty_like(vals)
+        best = np.empty(s.size)
+        for lo in range(0, s.size, rows):
+            hi = min(lo + rows, s.size)
+            v, t = vals[:hi - lo], terms[:hi - lo]
+            np.multiply(s[lo:hi, None], a, out=v)
+            np.multiply(z[lo:hi, None], b, out=t)
+            v += t
+            v += c
+            reduce(v, axis=1, out=best[lo:hi])
+        return best.reshape(shape) if shape else float(best[0])
 
 
 def oracle_envelope(p, q, kind, n=512):

@@ -153,25 +153,30 @@ def interior_grid(m=20, margin=0.02):
     return pts
 
 
+def _comparison(oc, m):
+    """(s, z, closed form, oracle) at each point of interior_grid(m) for
+    the oracle ``oc`` and the closed-form envelope of its kind."""
+    closed = upper_envelope if oc.kind == "concave" else lower_envelope
+    pts = interior_grid(m)
+    ovs = oc.evaluate(np.array([s for s, _ in pts]), np.array([z for _, z in pts]))
+    return [(s, z, closed(oc.curve.p, ConeTriple(1.0 + s, 1.0 - s, z)), float(ov))
+            for (s, z), ov in zip(pts, ovs)]
+
+
 def oracle_comparison(p, kind, n, m=20):
     """(s, z, closed form, oracle) at each point of interior_grid(m), for
-    the envelope of the given kind and its n-point hull oracle queried one
-    point at a time."""
-    closed = upper_envelope if kind == "concave" else lower_envelope
-    oc = EnvelopeOracle(p, kind, n)
-    return [(s, z, closed(p, ConeTriple(1.0 + s, 1.0 - s, z)),
-             float(oc.evaluate(np.array(s), np.array(z))))
-            for s, z in interior_grid(m)]
+    the envelope of the given kind and its n-point hull oracle."""
+    return _comparison(EnvelopeOracle(p, kind, n), m)
 
 
 def oracle_errors(n):
     """Yield (p, kind, err) for each exponent of P_GRID and envelope kind:
     err is the largest |oracle - closed form| / max(1, |closed form|) of
-    oracle_comparison(p, kind, n)."""
+    oracle_comparison(p, kind, n). Both kinds share one hull build."""
     for p_val in P_GRID:
-        p = classify(p_val)
-        for kind in ("concave", "convex"):
+        concave = EnvelopeOracle(classify(p_val), "concave", n)
+        for oc in (concave, concave.opposite()):
             err = 0.0
-            for _, _, cf, ov in oracle_comparison(p, kind, n):
+            for _, _, cf, ov in _comparison(oc, 20):
                 err = max(err, abs(ov - cf) / max(1.0, abs(cf)))
-            yield p_val, kind, err
+            yield p_val, oc.kind, err

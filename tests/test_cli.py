@@ -32,6 +32,12 @@ class TestBound:
         assert code == 2
         assert "error" in err
 
+    def test_overflow_exit2(self, capsys):
+        # the power sum overflows at p = -0.001: an error, not a violated bound
+        code, _, err = run(capsys, "bound", "-p", "-0.001", "1", "1", "0.01")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_cauchy_schwarz_violation_exit2(self, capsys):
         code, _, _ = run(capsys, "bound", "-p", "2", "1", "1", "5")
         assert code == 2

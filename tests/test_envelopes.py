@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,10 +25,17 @@ class TestClassify:
         assert classify(-1.0).regime == CONCAVE_G
         assert classify(100.0).regime == CONCAVE_F
 
-    @pytest.mark.parametrize("bad", [0.0, 1e-4, -1e-9, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, 1e-4, -1e-9, math.inf, math.nan,
+                                     True, "2", np.float32("inf")])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             classify(bad)
+
+    @pytest.mark.parametrize("good", [np.float32(2.0), np.float64(1.5),
+                                      np.int64(3), Fraction(-1, 2)])
+    def test_accepts_any_finite_real(self, good):
+        p = classify(good)
+        assert type(p.p) is float and p.p == float(good)
 
 
 class TestConeTriple:

@@ -3,21 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from lpenv import oracle
 from lpenv.envelopes import ConeTriple, classify, lower_envelope, upper_envelope
 from lpenv.oracle import (BoundaryCurve, EnvelopeOracle, boundary_value,
                           empirical_B, oracle_envelope)
+from lpenv.suites import P_GRID, interior_grid
 
-P_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)
+
+def _planes(oc):
+    return oc._planes[oc.kind]
 
 
-def interior_grid(m=20, margin=0.02):
-    pts = []
-    for s in np.linspace(-1.0 + margin, 1.0 - margin, m):
-        zmax = math.sqrt(1.0 - s * s)
-        for z in np.linspace(margin, zmax - margin, m):
-            if z > 0.0 and s * s + z * z < (1.0 - margin) ** 2:
-                pts.append((float(s), float(z)))
-    return pts
+def _reference(oc, ss, zs):
+    """The plane scan one point at a time: min (concave) or max (convex)
+    over the facet planes of a*s + b*z + c."""
+    a, b, c = _planes(oc)
+    pick = np.min if oc.kind == "concave" else np.max
+    return np.array([pick(a * s + b * z + c) for s, z in zip(ss, zs)])
 
 
 class TestBoundaryCurve:
@@ -105,6 +107,70 @@ class TestOracleEnvelope:
         assert errors[512] <= 2e-2
         assert errors[256] <= errors[128] + 1e-3
         assert errors[512] <= errors[256] + 1e-3
+
+
+class TestBatchedQuery:
+    @pytest.mark.parametrize("p_val", P_GRID)
+    @pytest.mark.parametrize("kind", ("concave", "convex"))
+    def test_matches_point_loop(self, p_val, kind):
+        oc = EnvelopeOracle(classify(p_val), kind, 128)
+        # the interior grid, then every node of the curve
+        ss, zs = np.concatenate((interior_grid(20), oc.curve.nodes)).T
+        ref = _reference(oc, ss, zs)
+        assert np.array_equal(oc.evaluate(ss, zs), ref)
+        assert np.array_equal(
+            [oc.evaluate(s, z) for s, z in zip(ss, zs)], ref)
+
+    def test_partial_last_block(self):
+        oc = EnvelopeOracle(classify(3), "concave", 128)
+        rows = oracle._BLOCK_ELEMENTS // len(_planes(oc)[0])
+        rng = np.random.default_rng(5)
+        r = np.sqrt(rng.uniform(0.0, 1.0, 2 * rows + 3))
+        theta = rng.uniform(0.0, np.pi, r.size)
+        ss, zs = r * np.cos(theta), r * np.sin(theta)
+        assert np.array_equal(oc.evaluate(ss, zs), _reference(oc, ss, zs))
+
+    def test_broadcasting(self):
+        oc = EnvelopeOracle(classify(1.5), "convex", 128)
+        ss = np.linspace(-0.9, 0.9, 7)
+        got = oc.evaluate(ss, 0.3)
+        assert got.shape == ss.shape
+        assert np.array_equal(got, _reference(oc, ss, np.full(7, 0.3)))
+        got = oc.evaluate(0.2, ss[3:] / 2)
+        assert np.array_equal(got, _reference(oc, np.full(4, 0.2), ss[3:] / 2))
+        grid = oc.evaluate(ss.reshape(7, 1), np.array([0.0, 0.1, 0.4]))
+        assert grid.shape == (7, 3)
+        assert np.array_equal(grid[:, 1], oc.evaluate(ss, 0.1))
+        assert isinstance(oc.evaluate(0.0, 0.5), float)
+
+    def test_empty_query(self):
+        oc = EnvelopeOracle(classify(3), "concave", 128)
+        got = oc.evaluate(np.empty(0), np.empty(0))
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("p_val", (-1.0, 1.0, 1.5, 2.0, 3.0))
+    def test_opposite_shares_the_hull(self, p_val, monkeypatch):
+        p = classify(p_val)
+        builds = []
+        hull = oracle.ConvexHull
+
+        def counting_hull(pts):
+            builds.append(len(pts))
+            return hull(pts)
+
+        monkeypatch.setattr(oracle, "ConvexHull", counting_hull)
+        for kind in ("concave", "convex"):
+            oc = EnvelopeOracle(p, kind, 128)
+            before = len(builds)
+            other = oc.opposite()
+            assert len(builds) == before
+            assert (oc.kind, other.kind) == (kind, oracle._OPPOSITE[kind])
+            assert other.curve is oc.curve
+            fresh = EnvelopeOracle(p, other.kind, 128)
+            for mine, theirs in zip(_planes(other), _planes(fresh)):
+                assert np.array_equal(mine, theirs)
+        # p = 1 and 2 are coplanar and never reach qhull
+        assert len(builds) == (0 if p.is_one or p.is_two else 4)
 
 
 class TestEmpiricalB:
