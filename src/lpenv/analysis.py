@@ -142,7 +142,7 @@ def torsion_sign_changes(p, grid=512, margin=1e-3):
     the domain or produces non-finite values are reported as blowups, not
     silently dropped into the sign count.
     """
-    if p.is_one or p.is_two:
+    if p.p in (1.0, 2.0):
         raise ValueError("torsion vanishes identically at p in {1, 2}")
     h12, h3 = 1e-5, 1e-3
     ss = np.linspace(-1.0 + margin, 1.0 - margin, grid)

@@ -21,18 +21,15 @@ P_MIN = 1e-3
 # for triples computed from floating-point norms.
 EPS_CS = 1e-9
 
-CONCAVE_F = "concave_F"  # p in (0,1] u [2,inf): F is the concave envelope
-CONCAVE_G = "concave_G"  # p in (-inf,0) u (1,2): G is the concave envelope
-
 
 @dataclass(frozen=True)
 class Exponent:
-    """A validated nonzero exponent with its regime classification."""
+    """A validated nonzero exponent with its envelope regime: F_p is the
+    concave envelope (f_is_concave) for p in (0,1] u [2,inf), G_p for p in
+    (-inf,0) u (1,2)."""
 
     p: float
-    regime: str = field(init=False)
-    is_one: bool = field(init=False)
-    is_two: bool = field(init=False)
+    f_is_concave: bool = field(init=False)
 
     def __post_init__(self):
         p = self.p
@@ -45,16 +42,7 @@ class Exponent:
                 "exponent magnitude below %g is rejected (got %r)" % (P_MIN, p)
             )
         object.__setattr__(self, "p", p)
-        if 0.0 < p <= 1.0 or p >= 2.0:
-            object.__setattr__(self, "regime", CONCAVE_F)
-        else:
-            object.__setattr__(self, "regime", CONCAVE_G)
-        object.__setattr__(self, "is_one", p == 1.0)
-        object.__setattr__(self, "is_two", p == 2.0)
-
-    @property
-    def f_is_concave(self):
-        return self.regime == CONCAVE_F
+        object.__setattr__(self, "f_is_concave", 0.0 < p <= 1.0 or p >= 2.0)
 
 
 def classify(p):
@@ -95,33 +83,17 @@ class ConeTriple:
         object.__setattr__(self, "z", z)
 
     @property
-    def ratios(self):
-        return DerivedRatios.of(self)
+    def gamma(self):
+        """The overlap ratio 2z/(x+y), zero at the origin."""
+        s = self.x + self.y
+        return 0.0 if s == 0.0 else min(2.0 * self.z / s, 1.0)
 
-
-@dataclass(frozen=True)
-class DerivedRatios:
-    """Normalized coordinates of a cone point.
-
-    gamma is the overlap ratio 2z/(x+y), zero at the origin.
-    v is min{x/z, y/z, 1}, set to 1 on {z = 0}.
-    """
-
-    gamma: float
-    v: float
-
-    @staticmethod
-    def of(t):
-        s = t.x + t.y
-        if s == 0.0:
-            gamma = 0.0
-        else:
-            gamma = min(2.0 * t.z / s, 1.0)
-        if t.z > 0.0:
-            v = min(t.x / t.z, t.y / t.z, 1.0)
-        else:
-            v = 1.0
-        return DerivedRatios(gamma=gamma, v=v)
+    @property
+    def v(self):
+        """min{x/z, y/z, 1}, set to 1 on {z = 0}."""
+        if self.z > 0.0:
+            return min(self.x / self.z, self.y / self.z, 1.0)
+        return 1.0
 
 
 def eval_F(p, t):
@@ -135,7 +107,7 @@ def eval_F(p, t):
     s = t.x + t.y
     if s == 0.0:
         return 0.0
-    w = t.ratios.gamma
+    w = t.gamma
     r = math.sqrt(max(0.0, (1.0 - w) * (1.0 + w)))
     inv = 1.0 / p.p
     bracket = xpow(1.0 + r, inv) + xpow(w * w / (1.0 + r), inv)
@@ -150,7 +122,7 @@ def eval_G(p, t):
     """
     if t.z == 0.0:
         return t.x + t.y if p.p > 0 else 0.0
-    v = t.ratios.v
+    v = t.v
     inv = 1.0 / p.p
     coef = xpow(xpow(v, inv) + xpow(v, -inv), p.p)
     if p.p > 0:
@@ -177,7 +149,7 @@ def carlen_bound(p, t):
     s = t.x + t.y
     if s == 0.0:
         return 0.0
-    gamma = t.ratios.gamma
+    gamma = t.gamma
     coef = xpow(1.0 + xpow(gamma, 2.0 / p.p), p.p - 1.0)
     return coef * s
 

@@ -138,12 +138,6 @@ class EnvelopeOracle:
         return best.reshape(shape) if shape else float(best[0])
 
 
-def oracle_envelope(p, q, kind, n=512):
-    """Envelope estimate at a single point q = (s, z) of D."""
-    s, z = q
-    return float(EnvelopeOracle(p, kind, n).evaluate(np.array(s), np.array(z)))
-
-
 def _two_block_candidates(rng, p, t, budget):
     """Random genuine pairs matching t: two blocks of constants, moments
     split (X1, Y1) / (X2, Y2) with sqrt(X1*Y1) + sqrt(X2*Y2) = z."""

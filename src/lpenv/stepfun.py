@@ -74,39 +74,34 @@ def refine(f, g):
     return merged, fv, gv
 
 
-def pth_power_norm(f, p):
-    """The p-th power integral of f; may legally be +inf for p < 0."""
-    if p == 0:
+def _integral(breakpoints, values, expo):
+    """Sum of (b - a) * v^expo over the intervals [a, b] and their values
+    v; +inf as soon as one term is."""
+    if expo == 0:
         raise ValueError("p must be nonzero")
     total = 0.0
-    for (a, b), v in zip(zip(f.breakpoints, f.breakpoints[1:]), f.values):
-        term = xpow(v, p)
+    for a, b, v in zip(breakpoints, breakpoints[1:], values):
+        term = xpow(v, expo)
         if math.isinf(term):
             return INF
         total += (b - a) * term
     return total
 
 
+def pth_power_norm(f, p):
+    """The p-th power integral of f; may legally be +inf for p < 0."""
+    return _integral(f.breakpoints, f.values, p)
+
+
 def overlap_norm(f, g, p):
     """Integral of (fg)^(p/2) over the common refinement.
 
-    For p < 0 the integrand is 0 wherever either factor is +inf.
+    A +inf factor makes the product +inf (not inf * 0 = nan), so the
+    integrand there is 0 for p < 0 and +inf for p > 0.
     """
-    if p == 0:
-        raise ValueError("p must be nonzero")
     merged, fv, gv = refine(f, g)
-    half = 0.5 * p
-    total = 0.0
-    for i in range(len(fv)):
-        if math.isinf(fv[i]) or math.isinf(gv[i]):
-            if p >= 0:
-                return INF
-            continue
-        term = xpow(fv[i] * gv[i], half)
-        if math.isinf(term):
-            return INF
-        total += (merged[i + 1] - merged[i]) * term
-    return total
+    products = [INF if a == INF or b == INF else a * b for a, b in zip(fv, gv)]
+    return _integral(merged, products, 0.5 * p)
 
 
 def triple_of_pair(f, g, p):
@@ -125,14 +120,7 @@ def triple_of_pair(f, g, p):
 def sum_norm(f, g, p):
     """|f+g|_p^p on the common refinement (inf + anything = inf)."""
     merged, fv, gv = refine(f, g)
-    total = 0.0
-    for i in range(len(fv)):
-        s = fv[i] + gv[i]
-        term = xpow(s, p)
-        if math.isinf(term):
-            return INF
-        total += (merged[i + 1] - merged[i]) * term
-    return total
+    return _integral(merged, [a + b for a, b in zip(fv, gv)], p)
 
 
 def sum_and_report(f, g, p):

@@ -118,9 +118,9 @@ def sign_tables():
     for p_val in SIGN_EXPONENTS:
         p = classify(p_val)
         v_ok = signs(analysis.v_fn, p) <= (
-            {0, -1} if (0 < p_val < 1 or p_val > 2) else {0, 1})
+            {0, -1} if p.f_is_concave else {0, 1})
         if p_val > 0:
-            want = {0, -1} if 1 < p_val < 2 else {0, 1}
+            want = {0, 1} if p.f_is_concave else {0, -1}
             g_ok = signs(analysis.g_fn, p) <= want
             h_ok = signs(analysis.h_fn_d2, p) <= want
         else:
@@ -134,9 +134,9 @@ def torsion_checks(grid=512):
     when the torsion of the boundary curve changes sign exactly once,
     within 1e-2 of s = 0 and in the direction the paper gives."""
     for p_val in TORSION_EXPONENTS:
-        rep = analysis.torsion_sign_changes(classify(p_val), grid=grid)
-        expect = ("minus_to_plus" if (0 < p_val < 1 or p_val > 2)
-                  else "plus_to_minus")
+        p = classify(p_val)
+        rep = analysis.torsion_sign_changes(p, grid=grid)
+        expect = "minus_to_plus" if p.f_is_concave else "plus_to_minus"
         ok = (rep.count == 1 and rep.direction == expect
               and abs(rep.location) <= 1e-2)
         yield p_val, rep, ok

@@ -159,6 +159,15 @@ class TestTable:
         assert float(row["s"]) == -1.0
         assert float(row["F"]) == pytest.approx(2.0)
 
+    def test_negative_exponent_in_equals_form(self, capsys):
+        # "--p-list -1,..." reads as an option; the "=" form passes it
+        code, out, _ = run(capsys, "table", "--p-list=-1,1.5,3", "--grid", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 3 * 3 * 3
+        assert [float(line.split(",")[0]) for line in lines[1::9]] == [
+            -1.0, 1.5, 3.0]
+
     def test_grid_too_small_exit2(self, capsys):
         code, _, _ = run(capsys, "table", "--p-list", "2", "--grid", "1")
         assert code == 2

@@ -7,23 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from highprec import ref_F, ref_G, ref_carlen, ref_two_point
-from lpenv.envelopes import (CONCAVE_F, CONCAVE_G, BoundReport, ConeTriple,
-                             DerivedRatios, carlen_bound, classify, eval_F,
-                             eval_G, lower_envelope, scalar_three_term,
-                             sum_bound, two_point, upper_envelope)
+from lpenv.envelopes import (BoundReport, ConeTriple, carlen_bound, classify,
+                             eval_F, eval_G, lower_envelope,
+                             scalar_three_term, sum_bound, two_point,
+                             upper_envelope)
 from lpenv.powers import xpow
 
 
 class TestClassify:
     def test_regimes(self):
-        assert classify(2.0).regime == CONCAVE_F
-        assert classify(2.0).is_two
-        assert classify(1.5).regime == CONCAVE_G
-        assert classify(0.5).regime == CONCAVE_F
-        assert classify(1.0).regime == CONCAVE_F
-        assert classify(1.0).is_one
-        assert classify(-1.0).regime == CONCAVE_G
-        assert classify(100.0).regime == CONCAVE_F
+        assert classify(2.0).f_is_concave
+        assert classify(2.0).p == 2.0
+        assert not classify(1.5).f_is_concave
+        assert classify(0.5).f_is_concave
+        assert classify(1.0).f_is_concave
+        assert classify(1.0).p == 1.0
+        assert not classify(-1.0).f_is_concave
+        assert classify(100.0).f_is_concave
 
     @pytest.mark.parametrize("bad", [0.0, 1e-4, -1e-9, math.inf, math.nan,
                                      True, "2", np.float32("inf")])
@@ -52,14 +52,14 @@ class TestConeTriple:
             ConeTriple(-1.0, 1.0, 0.0)
 
     def test_ratios(self):
-        r = ConeTriple(1.0, 1.0, 0.5).ratios
-        assert r.gamma == 0.5
-        assert r.v == 1.0
-        r = ConeTriple(1.0, 0.25, 0.4).ratios
-        assert r.v == pytest.approx(0.625, abs=0)
-        r = ConeTriple(2.0, 3.0, 0.0).ratios
-        assert r.v == 1.0 and r.gamma == 0.0
-        assert ConeTriple(0.0, 0.0, 0.0).ratios.gamma == 0.0
+        t = ConeTriple(1.0, 1.0, 0.5)
+        assert t.gamma == 0.5
+        assert t.v == 1.0
+        t = ConeTriple(1.0, 0.25, 0.4)
+        assert t.v == pytest.approx(0.625, abs=0)
+        t = ConeTriple(2.0, 3.0, 0.0)
+        assert t.v == 1.0 and t.gamma == 0.0
+        assert ConeTriple(0.0, 0.0, 0.0).gamma == 0.0
 
 
 class TestPowConventions:

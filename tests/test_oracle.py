@@ -6,7 +6,7 @@ import pytest
 from lpenv import oracle
 from lpenv.envelopes import ConeTriple, classify, lower_envelope, upper_envelope
 from lpenv.oracle import (BoundaryCurve, EnvelopeOracle, boundary_value,
-                          empirical_B, oracle_envelope)
+                          empirical_B)
 from lpenv.suites import P_GRID, interior_grid
 
 
@@ -57,20 +57,20 @@ class TestOracleEnvelope:
         assert val == pytest.approx(oc.curve.values[10], rel=1e-9)
 
     def test_p2_identity(self):
-        val = oracle_envelope(classify(2), (0.0, 0.5), "concave", 512)
+        val = EnvelopeOracle(classify(2), "concave", 512).evaluate(0.0, 0.5)
         assert val == pytest.approx(3.0, abs=0.02)
 
     def test_convex_matches_closed_form(self):
         p = classify(1.5)
-        val = oracle_envelope(p, (0.0, 0.3), "convex", 512)
+        val = EnvelopeOracle(p, "convex", 512).evaluate(0.0, 0.3)
         closed = lower_envelope(p, ConeTriple(1.0, 1.0, 0.3))
         assert val == pytest.approx(closed, abs=1e-4)
 
     def test_rejects_outside_domain(self):
         with pytest.raises(ValueError):
-            oracle_envelope(classify(3), (0.9, 0.9), "concave", 64)
+            EnvelopeOracle(classify(3), "concave", 64).evaluate(0.9, 0.9)
         with pytest.raises(ValueError):
-            oracle_envelope(classify(3), (0.0, 0.5), "sideways", 64)
+            EnvelopeOracle(classify(3), "sideways", 64).evaluate(0.0, 0.5)
 
     @pytest.mark.parametrize("p_val", P_GRID)
     def test_one_sided(self, p_val):
@@ -170,7 +170,7 @@ class TestBatchedQuery:
             for mine, theirs in zip(_planes(other), _planes(fresh)):
                 assert np.array_equal(mine, theirs)
         # p = 1 and 2 are coplanar and never reach qhull
-        assert len(builds) == (0 if p.is_one or p.is_two else 4)
+        assert len(builds) == (0 if p.p in (1.0, 2.0) else 4)
 
 
 class TestEmpiricalB:

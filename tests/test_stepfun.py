@@ -53,9 +53,14 @@ class TestNorms:
         f = chi(0.0, 0.5, 2.0)
         assert pth_power_norm(f, -1.0) == INF
 
-    def test_rejects_p_zero(self):
+    @pytest.mark.parametrize("norm", [
+        lambda f: pth_power_norm(f, 0.0),
+        lambda f: overlap_norm(f, f, 0.0),
+        lambda f: sum_norm(f, f, 0.0),
+    ], ids=["pth_power_norm", "overlap_norm", "sum_norm"])
+    def test_rejects_p_zero(self, norm):
         with pytest.raises(ValueError):
-            pth_power_norm(StepFunction.constant(1.0), 0.0)
+            norm(StepFunction.constant(1.0))
 
 
 class TestOverlap:
@@ -75,6 +80,17 @@ class TestOverlap:
         f = StepFunction((0.0, 0.5, 1.0), (INF, 2.0))
         g = StepFunction.constant(1.0)
         assert overlap_norm(f, g, -1.0) == pytest.approx(0.5 / 2.0 ** 0.5)
+
+    def test_inf_times_zero_contributes_zero(self):
+        # inf * 0 counts as +inf, not nan: the first half adds 0 at p < 0
+        f = StepFunction((0.0, 0.5, 1.0), (INF, 2.0))
+        g = StepFunction((0.0, 0.5, 1.0), (0.0, 1.0))
+        assert overlap_norm(f, g, -1.0) == 0.3535533905932738
+
+    def test_inf_factor_positive_p_is_inf(self):
+        f = StepFunction((0.0, 0.5, 1.0), (INF, 2.0))
+        g = StepFunction.constant(1.0)
+        assert overlap_norm(f, g, 2.0) == INF
 
 
 class TestRefine:
