@@ -23,4 +23,8 @@ def xpow(base, expo):
         return INF if expo < 0 else 0.0
     if math.isinf(base):
         return 0.0 if expo < 0 else INF
-    return base ** expo
+    try:
+        return base ** expo
+    except OverflowError:
+        raise OverflowError(
+            "%r ** %r overflows the float range" % (base, expo)) from None

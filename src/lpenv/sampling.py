@@ -10,26 +10,55 @@ import numpy as np
 from .powers import INF
 from .stepfun import StepFunction
 
+MAX_ATOMS = 8
+
 
 def substreams(seed, count):
     """Derive independent child generators from a single 64-bit seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def random_step_function(rng, p):
-    n = int(rng.integers(1, 9))
+def _draw(rng, p):
+    """The breakpoints and values of one random step function, as lists.
+
+    Raises the ValueError StepFunction would when an interior breakpoint
+    is drawn as exactly 0.0.
+    """
+    n = int(rng.integers(1, MAX_ATOMS + 1))
     if n == 1:
-        breakpoints = (0.0, 1.0)
+        breakpoints = [0.0, 1.0]
     else:
-        interior = np.sort(rng.uniform(0.0, 1.0, n - 1))
-        interior = np.unique(interior)
-        breakpoints = (0.0, *interior.tolist(), 1.0)
+        # random(k) draws exactly what uniform(0.0, 1.0, k) would, faster
+        breakpoints = [0.0, *sorted(set(rng.random(n - 1).tolist())), 1.0]
+        if breakpoints[1] == 0.0:
+            raise ValueError("breakpoints must be strictly increasing")
     values = np.exp(rng.uniform(-3.0, 3.0, len(breakpoints) - 1)).tolist()
     if rng.random() < 0.1:
         k = int(rng.integers(0, len(values)))
         values[k] = 0.0 if p > 0 else INF
-    return StepFunction(breakpoints, values)
+    return breakpoints, values
+
+
+def random_step_function(rng, p):
+    return StepFunction(*_draw(rng, p))
 
 
 def random_pair(rng, p):
     return random_step_function(rng, p), random_step_function(rng, p)
+
+
+def random_pairs(rng, p, count):
+    """``count`` pairs, drawn from ``rng`` exactly as ``count`` calls of
+    random_pair would, as padded arrays (fb, fv, gb, gv).
+
+    Row i of fb (count x MAX_ATOMS+1) holds the breakpoints of the i-th f,
+    padded with 1.0 so the extra intervals have zero width, and row i of fv
+    (count x MAX_ATOMS) its values, padded with 0.0; likewise gb, gv for g.
+    """
+    fb, fv, gb, gv = [], [], [], []
+    for _ in range(count):
+        for bps, vals in ((fb, fv), (gb, gv)):
+            b, v = _draw(rng, p)
+            bps.append(b + [1.0] * (MAX_ATOMS + 1 - len(b)))
+            vals.append(v + [0.0] * (MAX_ATOMS - len(v)))
+    return np.array(fb), np.array(fv), np.array(gb), np.array(gv)

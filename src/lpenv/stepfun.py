@@ -9,6 +9,8 @@ tolerances anywhere are floating-point slack.
 import json
 import math
 
+import numpy as np
+
 from .envelopes import BoundReport, ConeTriple
 from .powers import INF, xpow
 
@@ -93,22 +95,25 @@ def pth_power_norm(f, p):
     return _integral(f.breakpoints, f.values, p)
 
 
+def _overlap_integral(merged, fv, gv, p):
+    products = [INF if a == INF or b == INF else a * b for a, b in zip(fv, gv)]
+    return _integral(merged, products, 0.5 * p)
+
+
+def _sum_integral(merged, fv, gv, p):
+    return _integral(merged, [a + b for a, b in zip(fv, gv)], p)
+
+
 def overlap_norm(f, g, p):
     """Integral of (fg)^(p/2) over the common refinement.
 
     A +inf factor makes the product +inf (not inf * 0 = nan), so the
     integrand there is 0 for p < 0 and +inf for p > 0.
     """
-    merged, fv, gv = refine(f, g)
-    products = [INF if a == INF or b == INF else a * b for a, b in zip(fv, gv)]
-    return _integral(merged, products, 0.5 * p)
+    return _overlap_integral(*refine(f, g), p)
 
 
-def triple_of_pair(f, g, p):
-    """The cone point (|f|_p^p, |g|_p^p, |fg|_{p/2}^{p/2}) of a pair."""
-    x = pth_power_norm(f, p)
-    y = pth_power_norm(g, p)
-    z = overlap_norm(f, g, p)
+def _cone_point(x, y, z):
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(
             "norms must be finite to form a cone point, got (%r, %r, %r)"
@@ -117,14 +122,66 @@ def triple_of_pair(f, g, p):
     return ConeTriple(x, y, z)
 
 
+def triple_of_pair(f, g, p):
+    """The cone point (|f|_p^p, |g|_p^p, |fg|_{p/2}^{p/2}) of a pair."""
+    return _cone_point(pth_power_norm(f, p), pth_power_norm(g, p),
+                       overlap_norm(f, g, p))
+
+
 def sum_norm(f, g, p):
     """|f+g|_p^p on the common refinement (inf + anything = inf)."""
-    merged, fv, gv = refine(f, g)
-    return _integral(merged, [a + b for a, b in zip(fv, gv)], p)
+    return _sum_integral(*refine(f, g), p)
 
 
 def sum_and_report(f, g, p):
     """Evaluate |f+g|_p^p and compare it against every applicable bound
-    for the Exponent ``p``."""
-    t = triple_of_pair(f, g, p.p)
-    return BoundReport.at(p, t, sum_norm(f, g, p.p))
+    for the Exponent ``p``; one refinement serves the overlap and the sum."""
+    merged, fv, gv = refine(f, g)
+    t = _cone_point(pth_power_norm(f, p.p), pth_power_norm(g, p.p),
+                    _overlap_integral(merged, fv, gv, p.p))
+    return BoundReport.at(p, t, _sum_integral(merged, fv, gv, p.p))
+
+
+def _integrals(breakpoints, values, expo):
+    """_integral of every row: row i of ``breakpoints`` (rows x k+1) bounds
+    the intervals of row i of ``values`` (rows x k), and intervals of zero
+    width are padding. Terms are summed column by column in interval
+    order, and a row stops at its first +inf term, so xpow sees exactly
+    the values _integral would and every sum is the same float."""
+    if expo == 0:
+        raise ValueError("p must be nonzero")
+    total = np.zeros(len(values))
+    live = np.ones(len(values), dtype=bool)
+    for w, v in zip(np.diff(breakpoints, axis=1).T, values.T):
+        rows = np.flatnonzero(live & (w > 0.0))
+        terms = np.array([xpow(b, expo) for b in v[rows].tolist()])
+        live[rows] = terms < INF
+        total[rows] += w[rows] * terms
+    return total
+
+
+def pair_norms(fb, fv, gb, gv, p):
+    """(x, y, z, |f+g|_p^p) arrays for a batch of pairs, each entry the
+    float triple_of_pair and sum_norm give for that pair.
+
+    Row i of the breakpoint matrices fb, gb and value matrices fv, gv
+    holds the i-th pair in the padded layout of sampling.random_pairs:
+    breakpoints end in 1.0 and repeat it, values past the last interval
+    are ignored. Raises triple_of_pair's ValueError, for the first row
+    with a non-finite norm, before any sum is computed.
+    """
+    merged = np.sort(np.concatenate((fb, gb), axis=1), axis=1)
+    left = merged[:, :-1, None]
+    # the interval of f (g) holding each refined interval: breakpoints <= its left end
+    fr = np.take_along_axis(fv, (fb[:, None, :-1] <= left).sum(axis=2) - 1, axis=1)
+    gr = np.take_along_axis(gv, (gb[:, None, :-1] <= left).sum(axis=2) - 1, axis=1)
+    x = _integrals(fb, fv, p)
+    y = _integrals(gb, gv, p)
+    inf = np.isinf(fr) | np.isinf(gr)
+    products = np.multiply(fr, gr, out=np.full(fr.shape, INF), where=~inf)
+    z = _integrals(merged, products, 0.5 * p)
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)))
+    if bad.size:  # triple_of_pair's error, for the first such pair
+        i = bad[0]
+        _cone_point(float(x[i]), float(y[i]), float(z[i]))
+    return x, y, z, _integrals(merged, fr + gr, p)

@@ -10,12 +10,12 @@ import math
 import numpy as np
 
 from . import analysis
-from .envelopes import (ConeTriple, classify, lower_envelope, sum_bound,
-                        upper_envelope)
+from .envelopes import (BoundReport, ConeTriple, classify, lower_envelope,
+                        sum_bound, upper_envelope)
 from .oracle import EnvelopeOracle
-from .sampling import random_pair, random_step_function, substreams
-from .stepfun import (StepFunction, overlap_norm, pth_power_norm, refine,
-                      sum_and_report)
+from .sampling import random_pairs, random_step_function, substreams
+from .stepfun import (StepFunction, overlap_norm, pair_norms, pth_power_norm,
+                      refine)
 
 P_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)
 SUM_UPPER_PS = (1.0, 1.5, 2.0)
@@ -42,17 +42,19 @@ def pair_sweep(seed, samples):
     """The sandwich lower <= |f+g|_p^p <= upper on random pairs.
 
     Each exponent of P_GRID draws ``samples // len(P_GRID)`` pairs (at
-    least one) from its own substream of ``seed``. Returns (violations,
-    worst margin) over both sides.
+    least one) from its own substream of ``seed`` in one batch, whose norms
+    come from one pair_norms call; each pair then gets its BoundReport.
+    Returns (violations, worst margin) over both sides.
     """
     per = max(1, samples // len(P_GRID))
 
     def margins():
         for p_val, rng in zip(P_GRID, substreams(seed, len(P_GRID))):
             p = classify(p_val)
-            for _ in range(per):
-                f, g = random_pair(rng, p.p)
-                m = sum_and_report(f, g, p).margins
+            x, y, z, actual = pair_norms(*random_pairs(rng, p.p, per), p.p)
+            for xi, yi, zi, a in zip(x.tolist(), y.tolist(), z.tolist(),
+                                     actual.tolist()):
+                m = BoundReport.at(p, ConeTriple(xi, yi, zi), a).margins
                 yield min(m["upper"], m["lower"])
 
     return _tally(margins())

@@ -32,11 +32,22 @@ class TestBound:
         assert code == 2
         assert "error" in err
 
-    def test_overflow_exit2(self, capsys):
+    @pytest.mark.parametrize("argv, power", [
         # the power sum overflows at p = -0.001: an error, not a violated bound
-        code, _, err = run(capsys, "bound", "-p", "-0.001", "1", "1", "0.01")
+        (["-p", "-0.001", "1", "1", "0.01"], "** -1000.0 overflows"),
+        # a value of 1e200 overflows its p-th power at p = 2
+        (["-p", "2", "--files", "BIG", "ONE"], "1e+200 ** 2.0 overflows"),
+    ], ids=["triple", "files"])
+    def test_overflow_exit2(self, tmp_path, capsys, argv, power):
+        files = {"BIG": StepFunction.constant(1e200),
+                 "ONE": StepFunction.constant(1.0)}
+        for name, f in files.items():
+            (tmp_path / name).write_text(f.to_json())
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        code, _, err = run(capsys, "bound", *argv)
         assert code == 2
         assert err.startswith("error:")
+        assert power in err
 
     def test_cauchy_schwarz_violation_exit2(self, capsys):
         code, _, _ = run(capsys, "bound", "-p", "2", "1", "1", "5")

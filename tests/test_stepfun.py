@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpenv import stepfun
 from lpenv.envelopes import classify
 from lpenv.powers import INF
 from lpenv.sampling import random_pair, substreams
-from lpenv.stepfun import (StepFunction, overlap_norm, pth_power_norm, refine,
-                           sum_and_report, sum_norm, triple_of_pair)
+from lpenv.stepfun import (StepFunction, overlap_norm, pair_norms,
+                           pth_power_norm, refine, sum_and_report, sum_norm,
+                           triple_of_pair)
 from lpenv.suites import P_GRID
 
 
@@ -178,3 +180,99 @@ class TestSumAndReport:
                 rep = sum_and_report(f, g, exponent)
                 assert rep.margins["upper"] >= -1e-9, (p, f, g)
                 assert rep.margins["lower"] >= -1e-9, (p, f, g)
+
+    def test_refines_once(self, monkeypatch):
+        calls = []
+
+        def counting(f, g):
+            calls.append(1)
+            return refine(f, g)
+
+        monkeypatch.setattr(stepfun, "refine", counting)
+        f = StepFunction((0.0, 0.25, 1.0), (2.0, 0.5))
+        sum_and_report(f, chi(0.0, 0.5, 3.0), classify(3.0))
+        assert len(calls) == 1
+
+    def test_matches_triple_and_sum_norm(self):
+        rngs = substreams(17, len(P_GRID))
+        for p, rng in zip(P_GRID, rngs):
+            exponent = classify(p)
+            for _ in range(50):
+                f, g = random_pair(rng, p)
+                rep = sum_and_report(f, g, exponent)
+                assert repr(rep.triple) == repr(triple_of_pair(f, g, p))
+                assert repr(rep.actual) == repr(sum_norm(f, g, p))
+
+
+def pad(pairs, atoms=8):
+    """Pack step-function pairs into the padded (fb, fv, gb, gv) layout of
+    sampling.random_pairs."""
+    def rows(fs):
+        bps = [list(f.breakpoints) + [1.0] * (atoms + 1 - len(f.breakpoints))
+               for f in fs]
+        vals = [list(f.values) + [0.0] * (atoms - len(f.values)) for f in fs]
+        return np.array(bps), np.array(vals)
+
+    return (*rows([f for f, _ in pairs]), *rows([g for _, g in pairs]))
+
+
+def scalar_norms(pairs, p):
+    """The reference: triple_of_pair and sum_norm, one pair at a time."""
+    out = []
+    for f, g in pairs:
+        t = triple_of_pair(f, g, p)
+        out.append((t.x, t.y, t.z, sum_norm(f, g, p)))
+    return [np.array(col) for col in zip(*out)]
+
+
+def assert_kernel_matches(pairs, p):
+    got = pair_norms(*pad(pairs), p)
+    for name, a, b in zip("xyza", got, scalar_norms(pairs, p)):
+        assert np.array_equal(a, b), (name, p, a, b)
+
+
+class TestPairNorms:
+    """pair_norms against triple_of_pair and sum_norm, bit for bit."""
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_random_pairs(self, p):
+        rng = substreams(31, 1)[0]
+        assert_kernel_matches([random_pair(rng, p) for _ in range(200)], p)
+
+    @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 1.5, 3.0])
+    def test_hand_built(self, p):
+        one = StepFunction.constant(1.5)
+        eight = StepFunction([k / 8 for k in range(9)],
+                             [0.25 * (k + 1) for k in range(8)])
+        split = StepFunction((0.0, 0.25, 0.5, 1.0), (2.0, 0.5, 3.0))
+        shared = StepFunction((0.0, 0.25, 0.5, 1.0), (0.75, 4.0, 1.25))
+        pairs = [(one, one), (one, eight), (eight, eight), (split, shared),
+                 (eight, split), (shared, one)]
+        if p < 0:  # +inf atoms
+            pairs += [(StepFunction((0.0, 0.5, 1.0), (INF, 2.0)), eight),
+                      (StepFunction((0.0, 0.125, 1.0), (INF, INF)), split)]
+        else:  # 0 atoms
+            pairs += [(chi(0.0, 0.5, 2.0), eight),
+                      (chi(0.25, 0.75, 3.0), chi(0.5, 1.0, 0.5))]
+        assert_kernel_matches(pairs, p)
+
+    @pytest.mark.parametrize("p, f, g", [
+        (-1.0, chi(0.0, 0.5, 2.0), StepFunction.constant(1.0)),  # x = +inf
+        (-0.5, StepFunction.constant(1.0), chi(0.25, 1.0, 3.0)),  # y = +inf
+        # inf * 0 counts as +inf, not nan, in the z the error message shows
+        (-1.0, StepFunction((0.0, 0.5, 1.0), (INF, 2.0)),
+         StepFunction((0.0, 0.5, 1.0), (0.0, 1.0))),
+        (2.0, StepFunction((0.0, 0.5, 1.0), (INF, 2.0)),
+         StepFunction((0.0, 0.5, 1.0), (0.0, 1.0))),
+        # x stops at the +inf term, before 1e-300 ** -2 would overflow
+        (-2.0, StepFunction((0.0, 0.5, 1.0), (0.0, 1e-300)),
+         StepFunction.constant(1.0)),
+    ], ids=["zero-atom-f", "zero-atom-g", "inf-times-zero-p-neg",
+            "inf-times-zero-p-pos", "stops-at-inf-term"])
+    def test_raises_where_triple_of_pair_does(self, p, f, g):
+        good = (StepFunction.constant(1.0), StepFunction.constant(2.0))
+        with pytest.raises(ValueError) as ref:
+            triple_of_pair(f, g, p)
+        with pytest.raises(ValueError) as got:
+            pair_norms(*pad([good, (f, g), (g, f)]), p)
+        assert str(got.value) == str(ref.value)
