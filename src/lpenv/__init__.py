@@ -5,17 +5,16 @@ from .envelopes import (BoundReport, ConeTriple, Exponent, carlen_bound,
                         scalar_three_term, sum_bound, two_point,
                         upper_envelope)
 from .extremal import extremal_F, extremal_G
-from .oracle import BoundaryCurve, EnvelopeOracle, empirical_B
+from .oracle import BoundaryCurve, EnvelopeOracle
 from .stepfun import (StepFunction, overlap_norm, pth_power_norm, refine,
                       sum_and_report, sum_norm, triple_of_pair)
 
 __all__ = [
     "BoundReport", "BoundaryCurve", "ConeTriple", "EnvelopeOracle",
-    "Exponent", "StepFunction", "carlen_bound", "classify", "empirical_B",
-    "eval_F", "eval_G", "extremal_F", "extremal_G", "lower_envelope",
-    "overlap_norm", "pth_power_norm", "refine", "scalar_three_term",
-    "sum_and_report", "sum_bound", "sum_norm", "triple_of_pair", "two_point",
-    "upper_envelope",
+    "Exponent", "StepFunction", "carlen_bound", "classify", "eval_F",
+    "eval_G", "extremal_F", "extremal_G", "lower_envelope", "overlap_norm",
+    "pth_power_norm", "refine", "scalar_three_term", "sum_and_report",
+    "sum_bound", "sum_norm", "triple_of_pair", "two_point", "upper_envelope",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oracle import boundary_value
-from .powers import xpow
+from .powers import fan_power, xpow
 
 # Values below this magnitude count as exact zeros in sign tables.
 ZERO_TOL = 1e-12
@@ -44,21 +44,11 @@ def g_fn(x, p):
 
 def h_fn(t, p):
     """(t^(1/p) + t^(-1/p))^p - t - 1/t on (0, 1], for p > 0."""
-    _require_unit_interval(t)
-    pp = p.p
-    inv = 1.0 / pp
-    return xpow(xpow(t, inv) + xpow(t, -inv), pp) - t - 1.0 / t
+    return h_tilde_fn(t, p) - t - 1.0 / t
 
 
 def h_fn_d1(t, p):
-    _require_unit_interval(t)
-    pp = p.p
-    inv = 1.0 / pp
-    return (
-        xpow(xpow(t, inv) + xpow(t, -inv), pp - 1.0)
-        * (xpow(t, inv - 1.0) - xpow(t, -inv - 1.0))
-        - (1.0 - t ** -2.0)
-    )
+    return h_tilde_fn_d1(t, p) - (1.0 - t ** -2.0)
 
 
 def h_fn_d2(t, p):
@@ -70,32 +60,25 @@ def h_fn_d2(t, p):
 
 
 def h_tilde_fn(t, p):
-    """(t^(1/p) + t^(-1/p))^p on (0, 1], for p < 0; concave with h'(1) = 0."""
+    """(t^(1/p) + t^(-1/p))^p on (0, 1]; for p < 0 concave with h'(1) = 0."""
     _require_unit_interval(t)
-    pp = p.p
-    inv = 1.0 / pp
-    return xpow(xpow(t, inv) + xpow(t, -inv), pp)
+    return fan_power(t, p.p, p.p)
 
 
 def h_tilde_fn_d1(t, p):
     _require_unit_interval(t)
     pp = p.p
     inv = 1.0 / pp
-    return xpow(xpow(t, inv) + xpow(t, -inv), pp - 1.0) * (
-        xpow(t, inv - 1.0) - xpow(t, -inv - 1.0)
-    )
+    return (fan_power(t, pp, pp - 1.0)
+            * (xpow(t, inv - 1.0) - xpow(t, -inv - 1.0)))
 
 
 def h_tilde_fn_d2(t, p):
     _require_unit_interval(t)
     pp = p.p
     inv = 1.0 / pp
-    return (
-        2.0
-        * t ** -2.0
-        * xpow(xpow(t, inv) + xpow(t, -inv), pp - 2.0)
-        * (xpow(t, -2.0 * inv) + (2.0 / pp - 1.0))
-    )
+    return (2.0 * t ** -2.0 * fan_power(t, pp, pp - 2.0)
+            * (xpow(t, -2.0 * inv) + (2.0 / pp - 1.0)))
 
 
 def _require_unit_interval(t):
@@ -120,9 +103,7 @@ def _fd(f, h, order):
         return (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * h)
     if order == 2:
         return (-f[2] + 16 * f[1] - 30 * f[0] + 16 * f[-1] - f[-2]) / (12 * h * h)
-    if order == 3:
-        return (f[2] - 2 * f[1] + 2 * f[-1] - f[-2]) / (2 * h ** 3)
-    raise ValueError(order)
+    return (f[2] - 2 * f[1] + 2 * f[-1] - f[-2]) / (2 * h ** 3)
 
 
 @dataclass

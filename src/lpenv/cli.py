@@ -16,6 +16,7 @@ from . import suites
 from .envelopes import (ConeTriple, carlen_bound, classify, eval_F, eval_G,
                         lower_envelope, upper_envelope)
 from .extremal import extremal_F, extremal_G
+from .oracle import EnvelopeOracle
 from .stepfun import StepFunction, sum_and_report, sum_norm
 
 
@@ -139,8 +140,8 @@ def cmd_table(args):
 def cmd_oracle_compare(args):
     p = classify(args.p)
     rows = ["p,s,z,closed_form,oracle,abs_err,N"]
-    for s, z, cf, ov in suites.oracle_comparison(p, args.kind, args.n,
-                                                 args.grid):
+    oc = EnvelopeOracle(p, args.kind, args.n)
+    for s, z, cf, ov in suites.oracle_comparison(oc, args.grid):
         rows.append(",".join(
             fmt(v) for v in (p.p, s, z, cf, ov, abs(ov - cf))) + ",%d" % args.n)
     return _write_csv(rows, args.out)

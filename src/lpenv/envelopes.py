@@ -11,9 +11,10 @@ below; which is which depends on the exponent regime.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 
-from .powers import xpow
+from .powers import fan_power, power_sum, xpow
 
 P_MIN = 1e-3
 
@@ -70,9 +71,14 @@ class ConeTriple:
                 raise ValueError(
                     "%s must be a finite nonnegative real, got %r" % (name, val)
                 )
-        bound = math.sqrt(x * y)
+        xy = x * y
+        # sqrt(x)*sqrt(y) only where x*y overflowed or left the normal
+        # range, so every other clamp keeps the value sqrt(x*y)
+        bound = (math.sqrt(xy) if sys.float_info.min <= xy < math.inf
+                 else math.sqrt(x) * math.sqrt(y))
         if z > bound:
-            slack = EPS_CS * max(bound, 0.5 * (x + y))
+            # 0.5*x + 0.5*y: x + y can overflow where their mean cannot
+            slack = EPS_CS * max(bound, 0.5 * x + 0.5 * y)
             if z - bound > slack:
                 raise ValueError(
                     "z=%r violates Cauchy-Schwarz: sqrt(x*y)=%r" % (z, bound)
@@ -109,9 +115,7 @@ def eval_F(p, t):
         return 0.0
     w = t.gamma
     r = math.sqrt(max(0.0, (1.0 - w) * (1.0 + w)))
-    inv = 1.0 / p.p
-    bracket = xpow(1.0 + r, inv) + xpow(w * w / (1.0 + r), inv)
-    return 0.5 * s * xpow(bracket, p.p)
+    return 0.5 * s * power_sum(1.0 + r, w * w / (1.0 + r), p.p)
 
 
 def eval_G(p, t):
@@ -123,8 +127,7 @@ def eval_G(p, t):
     if t.z == 0.0:
         return t.x + t.y if p.p > 0 else 0.0
     v = t.v
-    inv = 1.0 / p.p
-    coef = xpow(xpow(v, inv) + xpow(v, -inv), p.p)
+    coef = fan_power(v, p.p, p.p)
     if p.p > 0:
         return t.x + t.y + (coef - v - 1.0 / v) * t.z
     return coef * t.z
@@ -194,15 +197,7 @@ class BoundReport:
         return all(m >= -tol for m in self.margins.values())
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "triple": {"x": self.triple.x, "y": self.triple.y, "z": self.triple.z},
-            "actual": self.actual,
-            "upper": self.upper,
-            "lower": self.lower,
-            "carlen": self.carlen,
-            "margins": dict(self.margins),
-        }
+        return asdict(self)
 
 
 def two_point(q, x):

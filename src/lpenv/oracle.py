@@ -9,20 +9,16 @@ the closed forms it is used to check.
 """
 
 import copy
-import math
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .extremal import extremal_F, extremal_G
-from .powers import xpow
-from .stepfun import sum_norm
+from .powers import power_sum
 
 
 def boundary_value(p, s):
     """phi_p on the semicircle: ((1+s)^(1/p) + (1-s)^(1/p))^p."""
-    inv = 1.0 / p.p
-    return xpow(xpow(1.0 + s, inv) + xpow(1.0 - s, inv), p.p)
+    return power_sum(1.0 + s, 1.0 - s, p.p)
 
 
 class BoundaryCurve:
@@ -137,63 +133,3 @@ class EnvelopeOracle:
             reduce(v, axis=1, out=best[lo:hi])
         return best.reshape(shape) if shape else float(best[0])
 
-
-def _two_block_candidates(rng, p, t, budget):
-    """Random genuine pairs matching t: two blocks of constants, moments
-    split (X1, Y1) / (X2, Y2) with sqrt(X1*Y1) + sqrt(X2*Y2) = z."""
-    x, y, z = t.x, t.y, t.z
-    out = []
-    for _ in range(budget):
-        c = rng.uniform(0.1, 0.9)
-        x1 = rng.uniform(1e-6, 1.0 - 1e-6) * x
-        x2 = x - x1
-        if x1 <= 0.0 or x2 <= 0.0:
-            continue
-        # sqrt(x1*y1) = z1 with (z - z1)^2 = x2*(y - z1^2/x1)
-        aa = 1.0 + x2 / x1
-        disc = z * z - aa * (z * z - x2 * y)
-        if disc < 0.0:
-            continue
-        root = math.sqrt(disc)
-        for z1 in ((z + root) / aa, (z - root) / aa):
-            if not 0.0 <= z1 <= z:
-                continue
-            y1 = z1 * z1 / x1
-            y2 = y - y1
-            if y1 < 0.0 or y2 < 0.0:
-                continue
-            inv = 1.0 / p.p
-            a = xpow(x1 / c, inv)
-            b = xpow(y1 / c, inv)
-            d = xpow(x2 / (1.0 - c), inv)
-            e = xpow(y2 / (1.0 - c), inv)
-            out.append(
-                c * xpow(a + b, p.p) + (1.0 - c) * xpow(d + e, p.p)
-            )
-    return out
-
-
-def empirical_B(p, t, direction, budget=200, seed=0):
-    """Best |f+g|_p^p found over pairs whose triple matches t.
-
-    Searches the closed-form extremal families (which contain the exact
-    optimizers) plus seeded random two-block pairs through t.
-    """
-    if direction not in ("sup", "inf"):
-        raise ValueError("direction must be 'sup' or 'inf'")
-    rng = np.random.default_rng(seed)
-    candidates = []
-    for ctor in (extremal_F, extremal_G):
-        try:
-            f, g = ctor(p, t)
-        except ValueError:
-            continue
-        val = sum_norm(f, g, p.p)
-        if math.isfinite(val):
-            candidates.append(val)
-    candidates.extend(
-        v for v in _two_block_candidates(rng, p, t, budget) if math.isfinite(v)
-    )
-    if not candidates:
-        raise ValueError("no feasible pair found for triple %r" % (t,))
-    return max(candidates) if direction == "sup" else min(candidates)

@@ -1,4 +1,4 @@
-"""Extended-real power helper.
+"""Extended-real power helper and the two power-sum maps built on it.
 
 All envelope and norm code routes powers through :func:`xpow` so the
 negative-exponent conventions hold bit-exactly at boundary points:
@@ -28,3 +28,16 @@ def xpow(base, expo):
     except OverflowError:
         raise OverflowError(
             "%r ** %r overflows the float range" % (base, expo)) from None
+
+
+def power_sum(u, v, p):
+    """(u^(1/p) + v^(1/p))^p, the power sum behind F_p and phi_p."""
+    inv = 1.0 / p
+    return xpow(xpow(u, inv) + xpow(v, inv), p)
+
+
+def fan_power(t, p, e):
+    """(t^(1/p) + t^(-1/p))^e: G_p's fan coefficient at e = p, and the
+    factor of h~ and its derivatives at e = p, p - 1, p - 2."""
+    inv = 1.0 / p
+    return xpow(xpow(t, inv) + xpow(t, -inv), e)

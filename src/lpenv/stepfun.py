@@ -56,8 +56,13 @@ class StepFunction:
     @staticmethod
     def from_json(text):
         obj = json.loads(text)
-        vals = [INF if v == "inf" else float(v) for v in obj["values"]]
-        return StepFunction(obj["breakpoints"], vals)
+        try:
+            bp = [float(b) for b in obj["breakpoints"]]
+            vals = [INF if v == "inf" else float(v) for v in obj["values"]]
+        except (KeyError, TypeError):
+            raise ValueError('a step function is a JSON object {"breakpoints": '
+                             '[numbers], "values": [numbers or "inf"]}') from None
+        return StepFunction(bp, vals)
 
 
 def refine(f, g):

@@ -155,7 +155,7 @@ def interior_grid(m=20, margin=0.02):
     return pts
 
 
-def _comparison(oc, m):
+def oracle_comparison(oc, m=20):
     """(s, z, closed form, oracle) at each point of interior_grid(m) for
     the oracle ``oc`` and the closed-form envelope of its kind."""
     closed = upper_envelope if oc.kind == "concave" else lower_envelope
@@ -165,20 +165,14 @@ def _comparison(oc, m):
             for (s, z), ov in zip(pts, ovs)]
 
 
-def oracle_comparison(p, kind, n, m=20):
-    """(s, z, closed form, oracle) at each point of interior_grid(m), for
-    the envelope of the given kind and its n-point hull oracle."""
-    return _comparison(EnvelopeOracle(p, kind, n), m)
-
-
 def oracle_errors(n):
     """Yield (p, kind, err) for each exponent of P_GRID and envelope kind:
     err is the largest |oracle - closed form| / max(1, |closed form|) of
-    oracle_comparison(p, kind, n). Both kinds share one hull build."""
+    oracle_comparison at n curve nodes. Both kinds share one hull build."""
     for p_val in P_GRID:
         concave = EnvelopeOracle(classify(p_val), "concave", n)
         for oc in (concave, concave.opposite()):
             err = 0.0
-            for _, _, cf, ov in _comparison(oc, 20):
+            for _, _, cf, ov in oracle_comparison(oc):
                 err = max(err, abs(ov - cf) / max(1.0, abs(cf)))
             yield p_val, oc.kind, err

@@ -53,6 +53,13 @@ class TestBound:
         code, _, _ = run(capsys, "bound", "-p", "2", "1", "1", "5")
         assert code == 2
 
+    def test_cauchy_schwarz_violation_overflowing_product_exit2(self, capsys):
+        # x*y overflows to inf; z = 10 sqrt(xy) is still outside the cone
+        code, out, err = run(capsys, "bound", "-p", "3", "1e200", "1e200", "1e201")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Cauchy-Schwarz" in err
+
     def test_files(self, tmp_path, capsys):
         fp = tmp_path / "f.json"
         gp = tmp_path / "g.json"
@@ -69,6 +76,21 @@ class TestBound:
         fp.write_text("{not json")
         code, _, _ = run(capsys, "bound", "-p", "2", "--files", str(fp), str(fp))
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"breakpoints": [0, 1]}',
+        '[0, 1]',
+        '{"breakpoints": [0, 1], "values": [null]}',
+        '{"breakpoints": null, "values": [1]}',
+        '{"breakpoints": [0, 1], "values": 3}',
+    ], ids=["missing-values", "list", "null-value", "null-breakpoints",
+            "number-values"])
+    def test_malformed_step_function_exit2(self, tmp_path, capsys, text):
+        fp = tmp_path / "f.json"
+        fp.write_text(text)
+        code, _, err = run(capsys, "bound", "-p", "2", "--files", str(fp), str(fp))
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestExtremal:

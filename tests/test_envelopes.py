@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -50,6 +51,32 @@ class TestConeTriple:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ConeTriple(-1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("x, y, z", [
+        (1e200, 1e200, 1e201),  # x*y overflows to inf
+        (1e308, 1e308, 1.7e308),  # x + y overflows too
+        (1e-300, 1e-300, 1e-299),  # x*y underflows to 0
+    ])
+    def test_rejects_beyond_slack_outside_normal_range(self, x, y, z):
+        with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+            ConeTriple(x, y, z)
+
+    @pytest.mark.parametrize("x, y, z", [
+        (1e-300, 1e-300, 1e-300),  # x*y underflows to 0
+        (1e-160, 1e-160, 1e-160),  # x*y is subnormal
+        (1e200, 1e200, 1e200),  # x*y overflows to inf
+    ])
+    def test_boundary_outside_normal_range(self, x, y, z):
+        t = ConeTriple(x, y, z)
+        assert t.z == math.sqrt(x) * math.sqrt(y)
+        assert t.z == pytest.approx(z, rel=1e-15)
+
+    def test_clamp_keeps_sqrt_of_product(self):
+        # in the normal range the clamp is sqrt(x*y) itself, which here
+        # differs from sqrt(x)*sqrt(y) in the last bit
+        x, y = 2.0, 3.0
+        assert math.sqrt(x * y) != math.sqrt(x) * math.sqrt(y)
+        assert ConeTriple(x, y, math.sqrt(x * y) * (1 + 1e-12)).z == math.sqrt(x * y)
 
     def test_ratios(self):
         t = ConeTriple(1.0, 1.0, 0.5)
@@ -396,3 +423,21 @@ class TestBoundReport:
         d = rep.to_dict()
         assert d["p"] == 1.5
         assert set(d["margins"]) == {"upper", "lower", "carlen"}
+
+    def test_to_dict_keys_order_and_values(self):
+        rep = BoundReport.at(classify(1.5), ConeTriple(1, 2, 0.5), 2.0)
+        expected = {
+            "p": 1.5,
+            "triple": {"x": 1.0, "y": 2.0, "z": 0.5},
+            "actual": 2.0,
+            "upper": 3.414213562373095,
+            "lower": 3.340745950410038,
+            "carlen": 3.328675986492513,
+            "margins": {"upper": 0.7071067811865475,
+                        "lower": -0.6703729752050189,
+                        "carlen": -0.6643379932462565},
+        }
+        d = rep.to_dict()
+        assert json.dumps(d) == json.dumps(expected)
+        d["margins"]["upper"] = 0.0
+        assert rep.margins["upper"] == 0.7071067811865475

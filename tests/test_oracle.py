@@ -1,13 +1,16 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from lpenv import oracle
 from lpenv.envelopes import ConeTriple, classify, lower_envelope, upper_envelope
-from lpenv.oracle import (BoundaryCurve, EnvelopeOracle, boundary_value,
-                          empirical_B)
+from lpenv.oracle import BoundaryCurve, EnvelopeOracle, boundary_value
 from lpenv.suites import P_GRID, interior_grid
+
+from empirical import empirical_B
 
 
 def _planes(oc):
@@ -171,6 +174,21 @@ class TestBatchedQuery:
                 assert np.array_equal(mine, theirs)
         # p = 1 and 2 are coplanar and never reach qhull
         assert len(builds) == (0 if p.p in (1.0, 2.0) else 4)
+
+
+class TestIndependence:
+    def test_imports_only_powers_from_the_package(self):
+        # the oracle checks the closed forms, so it must not reach them
+        tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+        package = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                package.add(node.module)
+            elif isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("lpenv")
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("lpenv") for a in node.names)
+        assert package == {"powers"}
 
 
 class TestEmpiricalB:

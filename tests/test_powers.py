@@ -1,0 +1,152 @@
+"""The two power-sum maps of lpenv.powers and the formulas built on them.
+
+Each formula that routes its power sum through ``power_sum`` or
+``fan_power`` is compared with ``==`` against the inline expression it
+had before, kept here as the reference.
+"""
+
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+from lpenv import analysis
+from lpenv.envelopes import ConeTriple, classify, eval_F, eval_G
+from lpenv.oracle import boundary_value
+from lpenv.powers import INF, fan_power, power_sum, xpow
+from lpenv.suites import P_GRID, SIGN_EXPONENTS
+
+EXPONENTS = sorted(set(P_GRID) | set(SIGN_EXPONENTS))
+TS = [float(t) for t in np.linspace(1e-3, 1.0, 97)] + [0.5, 1.0]
+SS = [float(s) for s in np.linspace(-1.0, 1.0, 41)] + [-1.0, 1.0, 0.0]
+
+
+def _triples():
+    rng = np.random.default_rng(5)
+    out = [ConeTriple(0.0, 0.0, 0.0), ConeTriple(1.0, 0.0, 0.0),
+           ConeTriple(2.0, 3.0, 0.0), ConeTriple(1.0, 1.0, 1.0),
+           ConeTriple(2.0, 0.5, 1.0)]
+    for _ in range(60):
+        x, y = np.exp(rng.uniform(-3, 3, 2))
+        z = rng.uniform(0, 1) * math.sqrt(x * y)
+        out.append(ConeTriple(float(x), float(y), float(z)))
+    return out
+
+
+def ref_F(p, t):
+    s = t.x + t.y
+    if s == 0.0:
+        return 0.0
+    w = t.gamma
+    r = math.sqrt(max(0.0, (1.0 - w) * (1.0 + w)))
+    inv = 1.0 / p.p
+    bracket = xpow(1.0 + r, inv) + xpow(w * w / (1.0 + r), inv)
+    return 0.5 * s * xpow(bracket, p.p)
+
+
+def ref_G(p, t):
+    if t.z == 0.0:
+        return t.x + t.y if p.p > 0 else 0.0
+    v = t.v
+    inv = 1.0 / p.p
+    coef = xpow(xpow(v, inv) + xpow(v, -inv), p.p)
+    if p.p > 0:
+        return t.x + t.y + (coef - v - 1.0 / v) * t.z
+    return coef * t.z
+
+
+def ref_boundary_value(p, s):
+    inv = 1.0 / p.p
+    return xpow(xpow(1.0 + s, inv) + xpow(1.0 - s, inv), p.p)
+
+
+def ref_h(t, p):
+    pp = p.p
+    inv = 1.0 / pp
+    return xpow(xpow(t, inv) + xpow(t, -inv), pp) - t - 1.0 / t
+
+
+def ref_h_d1(t, p):
+    pp = p.p
+    inv = 1.0 / pp
+    return (
+        xpow(xpow(t, inv) + xpow(t, -inv), pp - 1.0)
+        * (xpow(t, inv - 1.0) - xpow(t, -inv - 1.0))
+        - (1.0 - t ** -2.0)
+    )
+
+
+def ref_h_tilde(t, p):
+    pp = p.p
+    inv = 1.0 / pp
+    return xpow(xpow(t, inv) + xpow(t, -inv), pp)
+
+
+def ref_h_tilde_d1(t, p):
+    pp = p.p
+    inv = 1.0 / pp
+    return xpow(xpow(t, inv) + xpow(t, -inv), pp - 1.0) * (
+        xpow(t, inv - 1.0) - xpow(t, -inv - 1.0)
+    )
+
+
+def ref_h_tilde_d2(t, p):
+    pp = p.p
+    inv = 1.0 / pp
+    return (
+        2.0
+        * t ** -2.0
+        * xpow(xpow(t, inv) + xpow(t, -inv), pp - 2.0)
+        * (xpow(t, -2.0 * inv) + (2.0 / pp - 1.0))
+    )
+
+
+class TestMaps:
+    def test_power_sum(self):
+        assert power_sum(1.0, 1.0, 2.0) == 4.0
+        assert power_sum(8.0, 0.0, 3.0) == 8.0
+        # +inf conventions at p < 0: 0^(1/p) = +inf, inf^p = 0
+        assert power_sum(0.0, 1.0, -1.0) == 0.0
+        assert power_sum(INF, 4.0, -2.0) == 4.0
+
+    def test_fan_power(self):
+        assert fan_power(1.0, 3.0, 3.0) == 8.0
+        assert fan_power(1.0, -1.0, -3.0) == 0.125
+        assert fan_power(0.25, 2.0, 1.0) == 2.5
+
+
+@pytest.mark.parametrize("p_val", EXPONENTS)
+class TestRerouted:
+    def test_envelopes(self, p_val):
+        p = classify(p_val)
+        for t in _triples():
+            assert eval_F(p, t) == ref_F(p, t), t
+            assert eval_G(p, t) == ref_G(p, t), t
+
+    def test_boundary_value(self, p_val):
+        p = classify(p_val)
+        for s in SS:
+            assert boundary_value(p, s) == ref_boundary_value(p, s), s
+        if p_val < 0:
+            assert boundary_value(p, 1.0) == boundary_value(p, -1.0) == 0.0
+
+    @pytest.mark.parametrize("fn, ref", [
+        (analysis.h_fn, ref_h),
+        (analysis.h_fn_d1, ref_h_d1),
+        (analysis.h_tilde_fn, ref_h_tilde),
+        (analysis.h_tilde_fn_d1, ref_h_tilde_d1),
+        (analysis.h_tilde_fn_d2, ref_h_tilde_d2),
+    ], ids=["h", "h_d1", "h_tilde", "h_tilde_d1", "h_tilde_d2"])
+    def test_analysis(self, p_val, fn, ref):
+        p = classify(p_val)
+        for t in TS:
+            assert fn(t, p) == ref(t, p), t
+
+
+def test_one_home_for_the_power_sum():
+    """No module but lpenv.powers writes the nested power sum inline."""
+    src = pathlib.Path(analysis.__file__).parent
+    inline = [path.name for path in sorted(src.glob("*.py"))
+              if "xpow(xpow(" in path.read_text()]
+    assert inline == ["powers.py"]
