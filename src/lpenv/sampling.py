@@ -45,20 +45,3 @@ def random_step_function(rng, p):
 
 def random_pair(rng, p):
     return random_step_function(rng, p), random_step_function(rng, p)
-
-
-def random_pairs(rng, p, count):
-    """``count`` pairs, drawn from ``rng`` exactly as ``count`` calls of
-    random_pair would, as padded arrays (fb, fv, gb, gv).
-
-    Row i of fb (count x MAX_ATOMS+1) holds the breakpoints of the i-th f,
-    padded with 1.0 so the extra intervals have zero width, and row i of fv
-    (count x MAX_ATOMS) its values, padded with 0.0; likewise gb, gv for g.
-    """
-    fb, fv, gb, gv = [], [], [], []
-    for _ in range(count):
-        for bps, vals in ((fb, fv), (gb, gv)):
-            b, v = _draw(rng, p)
-            bps.append(b + [1.0] * (MAX_ATOMS + 1 - len(b)))
-            vals.append(v + [0.0] * (MAX_ATOMS - len(v)))
-    return np.array(fb), np.array(fv), np.array(gb), np.array(gv)

@@ -9,8 +9,6 @@ tolerances anywhere are floating-point slack.
 import json
 import math
 
-import numpy as np
-
 from .envelopes import BoundReport, ConeTriple
 from .powers import INF, xpow
 
@@ -26,7 +24,7 @@ class StepFunction:
         vals = tuple(float(v) for v in values)
         if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must run from 0 to 1")
-        if any(b1 >= b2 for b1, b2 in zip(bp, bp[1:])):
+        if not all(b1 < b2 for b1, b2 in zip(bp, bp[1:])):  # NaN fails too
             raise ValueError("breakpoints must be strictly increasing")
         if len(vals) != len(bp) - 1:
             raise ValueError("need exactly one value per interval")
@@ -57,28 +55,50 @@ class StepFunction:
     def from_json(text):
         obj = json.loads(text)
         try:
-            bp = [float(b) for b in obj["breakpoints"]]
-            vals = [INF if v == "inf" else float(v) for v in obj["values"]]
+            bp, vals = obj["breakpoints"], obj["values"]
+            if not (isinstance(bp, list) and isinstance(vals, list)):
+                raise TypeError
+            vals = [INF if v == "inf" else v for v in vals]
+            # exact types: bool is an int subclass, and float() reads strings
+            if not all(type(v) in (int, float) for v in bp + vals):
+                raise TypeError
         except (KeyError, TypeError):
             raise ValueError('a step function is a JSON object {"breakpoints": '
                              '[numbers], "values": [numbers or "inf"]}') from None
         return StepFunction(bp, vals)
 
 
+def _refine(fb, fv, gb, gv):
+    """Common refinement of two step functions given by their breakpoints
+    (strictly increasing from 0 to 1) and values: the merged breakpoints
+    (exact comparison, no epsilon merging) with the value of each function
+    on every merged interval, as lists."""
+    merged, rf, rg = [fb[0]], [], []
+    i = j = 1
+    a, b = fb[1], gb[1]
+    while True:
+        rf.append(fv[i - 1])
+        rg.append(gv[j - 1])
+        if a < b:
+            merged.append(a)
+            i += 1
+            a = fb[i]
+        elif b < a:
+            merged.append(b)
+            j += 1
+            b = gb[j]
+        else:
+            merged.append(a)
+            if a == 1.0:
+                return merged, rf, rg
+            i += 1
+            j += 1
+            a, b = fb[i], gb[j]
+
+
 def refine(f, g):
-    """Common refinement: merged breakpoints (exact comparison, no epsilon
-    merging) with the aligned value lists of f and g."""
-    merged = sorted(set(f.breakpoints) | set(g.breakpoints))
-    fi = gi = 0
-    fv, gv = [], []
-    for left in merged[:-1]:
-        while f.breakpoints[fi + 1] <= left:
-            fi += 1
-        while g.breakpoints[gi + 1] <= left:
-            gi += 1
-        fv.append(f.values[fi])
-        gv.append(g.values[gi])
-    return merged, fv, gv
+    """(merged breakpoints, values of f, values of g): see _refine."""
+    return _refine(f.breakpoints, f.values, g.breakpoints, g.values)
 
 
 def _integral(breakpoints, values, expo):
@@ -138,55 +158,16 @@ def sum_norm(f, g, p):
     return _sum_integral(*refine(f, g), p)
 
 
+def _report(fb, fv, gb, gv, p):
+    """sum_and_report for the pair with breakpoints fb, gb and values fv,
+    gv; one refinement serves the overlap and the sum."""
+    merged, rf, rg = _refine(fb, fv, gb, gv)
+    t = _cone_point(_integral(fb, fv, p.p), _integral(gb, gv, p.p),
+                    _overlap_integral(merged, rf, rg, p.p))
+    return BoundReport.at(p, t, _sum_integral(merged, rf, rg, p.p))
+
+
 def sum_and_report(f, g, p):
     """Evaluate |f+g|_p^p and compare it against every applicable bound
-    for the Exponent ``p``; one refinement serves the overlap and the sum."""
-    merged, fv, gv = refine(f, g)
-    t = _cone_point(pth_power_norm(f, p.p), pth_power_norm(g, p.p),
-                    _overlap_integral(merged, fv, gv, p.p))
-    return BoundReport.at(p, t, _sum_integral(merged, fv, gv, p.p))
-
-
-def _integrals(breakpoints, values, expo):
-    """_integral of every row: row i of ``breakpoints`` (rows x k+1) bounds
-    the intervals of row i of ``values`` (rows x k), and intervals of zero
-    width are padding. Terms are summed column by column in interval
-    order, and a row stops at its first +inf term, so xpow sees exactly
-    the values _integral would and every sum is the same float."""
-    if expo == 0:
-        raise ValueError("p must be nonzero")
-    total = np.zeros(len(values))
-    live = np.ones(len(values), dtype=bool)
-    for w, v in zip(np.diff(breakpoints, axis=1).T, values.T):
-        rows = np.flatnonzero(live & (w > 0.0))
-        terms = np.array([xpow(b, expo) for b in v[rows].tolist()])
-        live[rows] = terms < INF
-        total[rows] += w[rows] * terms
-    return total
-
-
-def pair_norms(fb, fv, gb, gv, p):
-    """(x, y, z, |f+g|_p^p) arrays for a batch of pairs, each entry the
-    float triple_of_pair and sum_norm give for that pair.
-
-    Row i of the breakpoint matrices fb, gb and value matrices fv, gv
-    holds the i-th pair in the padded layout of sampling.random_pairs:
-    breakpoints end in 1.0 and repeat it, values past the last interval
-    are ignored. Raises triple_of_pair's ValueError, for the first row
-    with a non-finite norm, before any sum is computed.
-    """
-    merged = np.sort(np.concatenate((fb, gb), axis=1), axis=1)
-    left = merged[:, :-1, None]
-    # the interval of f (g) holding each refined interval: breakpoints <= its left end
-    fr = np.take_along_axis(fv, (fb[:, None, :-1] <= left).sum(axis=2) - 1, axis=1)
-    gr = np.take_along_axis(gv, (gb[:, None, :-1] <= left).sum(axis=2) - 1, axis=1)
-    x = _integrals(fb, fv, p)
-    y = _integrals(gb, gv, p)
-    inf = np.isinf(fr) | np.isinf(gr)
-    products = np.multiply(fr, gr, out=np.full(fr.shape, INF), where=~inf)
-    z = _integrals(merged, products, 0.5 * p)
-    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)))
-    if bad.size:  # triple_of_pair's error, for the first such pair
-        i = bad[0]
-        _cone_point(float(x[i]), float(y[i]), float(z[i]))
-    return x, y, z, _integrals(merged, fr + gr, p)
+    for the Exponent ``p``."""
+    return _report(f.breakpoints, f.values, g.breakpoints, g.values, p)

@@ -10,12 +10,12 @@ import math
 import numpy as np
 
 from . import analysis
-from .envelopes import (BoundReport, ConeTriple, classify, lower_envelope,
-                        sum_bound, upper_envelope)
+from .envelopes import (ConeTriple, classify, lower_envelope, sum_bound,
+                        upper_envelope)
 from .oracle import EnvelopeOracle
-from .sampling import random_pairs, random_step_function, substreams
-from .stepfun import (StepFunction, overlap_norm, pair_norms, pth_power_norm,
-                      refine)
+from .sampling import _draw, random_step_function, substreams
+from .stepfun import (StepFunction, _integral, _refine, _report, overlap_norm,
+                      pth_power_norm)
 
 P_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)
 SUM_UPPER_PS = (1.0, 1.5, 2.0)
@@ -42,19 +42,17 @@ def pair_sweep(seed, samples):
     """The sandwich lower <= |f+g|_p^p <= upper on random pairs.
 
     Each exponent of P_GRID draws ``samples // len(P_GRID)`` pairs (at
-    least one) from its own substream of ``seed`` in one batch, whose norms
-    come from one pair_norms call; each pair then gets its BoundReport.
-    Returns (violations, worst margin) over both sides.
+    least one) from its own substream of ``seed``, each pair as the lists
+    random_pair would hold. Returns (violations, worst margin) over both
+    sides.
     """
     per = max(1, samples // len(P_GRID))
 
     def margins():
         for p_val, rng in zip(P_GRID, substreams(seed, len(P_GRID))):
             p = classify(p_val)
-            x, y, z, actual = pair_norms(*random_pairs(rng, p.p, per), p.p)
-            for xi, yi, zi, a in zip(x.tolist(), y.tolist(), z.tolist(),
-                                     actual.tolist()):
-                m = BoundReport.at(p, ConeTriple(xi, yi, zi), a).margins
+            for _ in range(per):
+                m = _report(*_draw(rng, p.p), *_draw(rng, p.p), p).margins
                 yield min(m["upper"], m["lower"])
 
     return _tally(margins())
@@ -77,11 +75,11 @@ def many_sweep(cases, per, draw):
                 moments = [pth_power_norm(f, p.p) for f in fs]
                 overlaps = sum(overlap_norm(f, g, p.p)
                                for i, f in enumerate(fs) for g in fs[i + 1:])
-                total = fs[0]
+                bps, vals = fs[0].breakpoints, fs[0].values
                 for f in fs[1:]:
-                    merged, av, bv = refine(total, f)
-                    total = StepFunction(merged, [a + b for a, b in zip(av, bv)])
-                actual = pth_power_norm(total, p.p)
+                    bps, av, bv = _refine(bps, vals, f.breakpoints, f.values)
+                    vals = [a + b for a, b in zip(av, bv)]
+                actual = _integral(bps, vals, p.p)
                 bound = sum_bound(moments, overlaps, p)
                 yield sign * (bound - actual) / max(1.0, abs(actual))
 

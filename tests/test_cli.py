@@ -83,12 +83,19 @@ class TestBound:
         '{"breakpoints": [0, 1], "values": [null]}',
         '{"breakpoints": null, "values": [1]}',
         '{"breakpoints": [0, 1], "values": 3}',
+        '{"breakpoints": [0, NaN, 1], "values": [1, 2]}',
+        '{"breakpoints": "01", "values": [true]}',
+        '{"breakpoints": [0, 1], "values": ["2"]}',
     ], ids=["missing-values", "list", "null-value", "null-breakpoints",
-            "number-values"])
+            "number-values", "nan-breakpoint", "string-and-bool",
+            "string-value"])
     def test_malformed_step_function_exit2(self, tmp_path, capsys, text):
+        # paired with a valid g, so the error must come from f
         fp = tmp_path / "f.json"
+        gp = tmp_path / "g.json"
         fp.write_text(text)
-        code, _, err = run(capsys, "bound", "-p", "2", "--files", str(fp), str(fp))
+        gp.write_text(StepFunction.constant(1.0).to_json())
+        code, _, err = run(capsys, "bound", "-p", "2", "--files", str(fp), str(gp))
         assert code == 2
         assert err.startswith("error:")
 

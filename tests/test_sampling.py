@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from lpenv import sampling
 from lpenv.envelopes import classify
-from lpenv.sampling import random_pair, random_pairs, random_step_function, substreams
+from lpenv.sampling import _draw, random_pair, random_step_function, substreams
 from lpenv.stepfun import sum_and_report
 from lpenv.suites import P_GRID, _tally, pair_sweep
 
@@ -26,18 +25,15 @@ def reference_pair_sweep(seed, samples):
 class TestRandomPairs:
     @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 3.0])
     def test_same_draws_as_random_pair(self, p):
-        batch, twin = substreams(11, 1)[0], substreams(11, 1)[0]
-        count = 300
-        fb, fv, gb, gv = random_pairs(batch, p, count)
-        assert fb.shape == gb.shape == (count, sampling.MAX_ATOMS + 1)
-        assert fv.shape == gv.shape == (count, sampling.MAX_ATOMS)
-        for i in range(count):
-            for f, bps, vals in zip(random_pair(twin, p), (fb, gb), (fv, gv)):
-                n = len(f.values)
-                assert bps[i, :n + 1].tolist() == list(f.breakpoints)
-                assert vals[i, :n].tolist() == list(f.values)
-                assert (bps[i, n + 1:] == 1.0).all()
-        assert batch.bit_generator.state == twin.bit_generator.state
+        """pair_sweep's two _draw calls per pair hold random_pair's
+        functions and leave the generator where random_pair does."""
+        sweep, twin = substreams(11, 1)[0], substreams(11, 1)[0]
+        for _ in range(300):
+            drawn = (_draw(sweep, p), _draw(sweep, p))
+            for f, (bps, vals) in zip(random_pair(twin, p), drawn):
+                assert bps == list(f.breakpoints)
+                assert vals == list(f.values)
+        assert sweep.bit_generator.state == twin.bit_generator.state
 
     def test_zero_interior_breakpoint_rejected(self):
         class ZeroDraw:
@@ -51,8 +47,6 @@ class TestRandomPairs:
 
         with pytest.raises(ValueError, match="strictly increasing"):
             random_step_function(ZeroDraw(), 1.0)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            random_pairs(ZeroDraw(), 1.0, 3)
 
 
 class TestPairSweep:

@@ -1,15 +1,15 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpenv import stepfun
-from lpenv.envelopes import classify
+from lpenv.envelopes import ConeTriple, classify
+from lpenv.extremal import extremal_F, extremal_G
 from lpenv.powers import INF
 from lpenv.sampling import random_pair, substreams
-from lpenv.stepfun import (StepFunction, overlap_norm, pair_norms,
+from lpenv.stepfun import (StepFunction, _report, overlap_norm,
                            pth_power_norm, refine, sum_and_report, sum_norm,
                            triple_of_pair)
 from lpenv.suites import P_GRID
@@ -183,12 +183,13 @@ class TestSumAndReport:
 
     def test_refines_once(self, monkeypatch):
         calls = []
+        merge = stepfun._refine
 
-        def counting(f, g):
+        def counting(*args):
             calls.append(1)
-            return refine(f, g)
+            return merge(*args)
 
-        monkeypatch.setattr(stepfun, "refine", counting)
+        monkeypatch.setattr(stepfun, "_refine", counting)
         f = StepFunction((0.0, 0.25, 1.0), (2.0, 0.5))
         sum_and_report(f, chi(0.0, 0.5, 3.0), classify(3.0))
         assert len(calls) == 1
@@ -204,35 +205,40 @@ class TestSumAndReport:
                 assert repr(rep.actual) == repr(sum_norm(f, g, p))
 
 
-def pad(pairs, atoms=8):
-    """Pack step-function pairs into the padded (fb, fv, gb, gv) layout of
-    sampling.random_pairs."""
-    def rows(fs):
-        bps = [list(f.breakpoints) + [1.0] * (atoms + 1 - len(f.breakpoints))
-               for f in fs]
-        vals = [list(f.values) + [0.0] * (atoms - len(f.values)) for f in fs]
-        return np.array(bps), np.array(vals)
-
-    return (*rows([f for f, _ in pairs]), *rows([g for _, g in pairs]))
-
-
-def scalar_norms(pairs, p):
-    """The reference: triple_of_pair and sum_norm, one pair at a time."""
-    out = []
-    for f, g in pairs:
-        t = triple_of_pair(f, g, p)
-        out.append((t.x, t.y, t.z, sum_norm(f, g, p)))
-    return [np.array(col) for col in zip(*out)]
+def ref_refine(f, g):
+    """The common refinement as sorted(set(...)) of both breakpoint sets,
+    then a scan for the interval of f and of g under each left end: the
+    reference for refine's two-pointer merge."""
+    merged = sorted(set(f.breakpoints) | set(g.breakpoints))
+    fi = gi = 0
+    fv, gv = [], []
+    for left in merged[:-1]:
+        while f.breakpoints[fi + 1] <= left:
+            fi += 1
+        while g.breakpoints[gi + 1] <= left:
+            gi += 1
+        fv.append(f.values[fi])
+        gv.append(g.values[gi])
+    return merged, fv, gv
 
 
 def assert_kernel_matches(pairs, p):
-    got = pair_norms(*pad(pairs), p)
-    for name, a, b in zip("xyza", got, scalar_norms(pairs, p)):
-        assert np.array_equal(a, b), (name, p, a, b)
+    """On each pair, and on each function paired with itself: refine gives
+    what ref_refine does, and _report on breakpoint and value lists, as
+    pair_sweep calls it, gives the floats of triple_of_pair and sum_norm."""
+    exponent = classify(p)
+    for f, g in pairs:
+        for a, b in ((f, g), (f, f), (g, g)):
+            assert repr(refine(a, b)) == repr(ref_refine(a, b)), (a, b)
+            rep = _report(list(a.breakpoints), list(a.values),
+                          list(b.breakpoints), list(b.values), exponent)
+            assert repr(rep.triple) == repr(triple_of_pair(a, b, p)), (p, a, b)
+            assert repr(rep.actual) == repr(sum_norm(a, b, p)), (p, a, b)
 
 
 class TestPairNorms:
-    """pair_norms against triple_of_pair and sum_norm, bit for bit."""
+    """The norms of a pair from the one refinement kernel, against
+    ref_refine, triple_of_pair and sum_norm, bit for bit."""
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_random_pairs(self, p):
@@ -254,6 +260,10 @@ class TestPairNorms:
         else:  # 0 atoms
             pairs += [(chi(0.0, 0.5, 2.0), eight),
                       (chi(0.25, 0.75, 3.0), chi(0.5, 1.0, 0.5))]
+        exponent = classify(p)
+        for t in (ConeTriple(1.0, 1.0, 0.5), ConeTriple(0.3, 2.5, 0.2),
+                  ConeTriple(4.0, 0.5, 1.4)):
+            pairs += [extremal_F(exponent, t), extremal_G(exponent, t)]
         assert_kernel_matches(pairs, p)
 
     @pytest.mark.parametrize("p, f, g", [
@@ -270,9 +280,9 @@ class TestPairNorms:
     ], ids=["zero-atom-f", "zero-atom-g", "inf-times-zero-p-neg",
             "inf-times-zero-p-pos", "stops-at-inf-term"])
     def test_raises_where_triple_of_pair_does(self, p, f, g):
-        good = (StepFunction.constant(1.0), StepFunction.constant(2.0))
-        with pytest.raises(ValueError) as ref:
-            triple_of_pair(f, g, p)
-        with pytest.raises(ValueError) as got:
-            pair_norms(*pad([good, (f, g), (g, f)]), p)
-        assert str(got.value) == str(ref.value)
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError) as ref:
+                triple_of_pair(a, b, p)
+            with pytest.raises(ValueError) as got:
+                sum_and_report(a, b, classify(p))
+            assert str(got.value) == str(ref.value)
