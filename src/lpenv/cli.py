@@ -7,14 +7,13 @@ output is printed with 17 significant digits; exit status is 0 on pass,
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import suites
-from .envelopes import (ConeTriple, carlen_bound, classify, eval_F, eval_G,
-                        lower_envelope, upper_envelope)
+from .envelopes import (ConeTriple, carlen_bound, classify, envelope_arrays,
+                        eval_F, eval_G, lower_envelope, upper_envelope)
 from .extremal import extremal_F, extremal_G
 from .oracle import EnvelopeOracle
 from .stepfun import StepFunction, sum_and_report, sum_norm
@@ -75,6 +74,8 @@ def cmd_extremal(args):
 
 def cmd_verify(args):
     violations, worst = 0, 0.0
+    if args.suite in ("pair", "sum") and args.samples < 1:
+        raise ValueError("--samples must be positive, got %d" % args.samples)
     if args.suite == "pair":
         violations, worst = suites.pair_sweep(args.seed, args.samples)
     elif args.suite == "sum" and args.p_neg:
@@ -123,17 +124,14 @@ def cmd_table(args):
         raise ValueError("grid must be at least 2")
     ps = [classify(float(v)) for v in args.p_list.split(",")]
     rows = ["p,s,z,F,G,upper,lower,carlen"]
+    line = ",".join(["%.17g"] * 8)  # the bytes fmt gives
+    s = np.repeat(np.linspace(-1.0, 1.0, args.grid), args.grid)
+    zmax = np.sqrt(np.maximum(0.0, 1.0 - s * s))
+    z = np.tile(np.linspace(0.0, 1.0, args.grid), args.grid) * zmax
     for p in ps:
-        for s in np.linspace(-1.0, 1.0, args.grid):
-            zmax = math.sqrt(max(0.0, 1.0 - s * s))
-            for frac in np.linspace(0.0, 1.0, args.grid):
-                z = frac * zmax
-                t = ConeTriple(1.0 + s, 1.0 - s, z)
-                rows.append(",".join(fmt(v) for v in (
-                    p.p, s, z, eval_F(p, t), eval_G(p, t),
-                    upper_envelope(p, t), lower_envelope(p, t),
-                    carlen_bound(p, t),
-                )))
+        cols = envelope_arrays(p, 1.0 + s, 1.0 - s, z)
+        rows += [line % (p.p, *row) for row in zip(
+            s.tolist(), z.tolist(), *(c.tolist() for c in cols))]
     return _write_csv(rows, args.out)
 
 

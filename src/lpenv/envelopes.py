@@ -14,6 +14,8 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .powers import fan_power, power_sum, xpow
 
 P_MIN = 1e-3
@@ -102,35 +104,38 @@ class ConeTriple:
         return 1.0
 
 
-def eval_F(p, t):
-    """The horizontal-chord envelope F_p at a cone point.
+def _F(s, w, p, sqrt):
+    """F_p = s/2 * ((1+r)^(1/p) + (1-r)^(1/p))^p, r = sqrt(1-w^2), at
+    x + y = s > 0 and w = gamma, over floats or arrays (sqrt = math.sqrt or
+    np.sqrt). r = sqrt((1-w)(1+w)) (>= 0 as w <= 1) keeps relative accuracy
+    as w -> 1, and 1 - r = w^2 / (1 + r) avoids cancellation as w -> 0."""
+    r = sqrt((1.0 - w) * (1.0 + w))
+    return 0.5 * s * power_sum(1.0 + r, w * w / (1.0 + r), p)
 
-    F_p = (x+y)/2 * ((1+sqrt(1-w^2))^(1/p) + (1-sqrt(1-w^2))^(1/p))^p,
-    with sqrt(1-w^2) computed as sqrt((1-w)(1+w)) to keep relative accuracy
-    near the elliptical boundary w -> 1, and 1 - sqrt(1-w^2) computed as
-    w^2 / (1 + sqrt(1-w^2)) to avoid cancellation as w -> 0.
-    """
+
+def _G(x, y, z, v, p):
+    """G_p at z > 0 and v = min{x/z, y/z, 1}, over floats or arrays: c*z
+    for p < 0, x + y + (c - v - 1/v)*z for p > 0; c = (v^(1/p) + v^(-1/p))^p."""
+    coef = fan_power(v, p, p)
+    return x + y + (coef - v - 1.0 / v) * z if p > 0 else coef * z
+
+
+def _carlen(s, gamma, p):
+    """(1 + Gamma^(2/p))^(p-1) * s at x + y = s > 0, over floats or arrays."""
+    return xpow(1.0 + xpow(gamma, 2.0 / p), p - 1.0) * s
+
+
+def eval_F(p, t):
+    """The horizontal-chord envelope F_p at a cone point (0 at the origin)."""
     s = t.x + t.y
-    if s == 0.0:
-        return 0.0
-    w = t.gamma
-    r = math.sqrt(max(0.0, (1.0 - w) * (1.0 + w)))
-    return 0.5 * s * power_sum(1.0 + r, w * w / (1.0 + r), p.p)
+    return 0.0 if s == 0.0 else _F(s, t.gamma, p.p, math.sqrt)
 
 
 def eval_G(p, t):
-    """The corner-fan envelope G_p at a cone point.
-
-    For p > 0: x + y + ((v^(1/p) + v^(-1/p))^p - v - 1/v) * z.
-    For p < 0: (v^(1/p) + v^(-1/p))^p * z.
-    """
+    """The corner-fan envelope G_p at a cone point (x + y or 0 on z = 0)."""
     if t.z == 0.0:
         return t.x + t.y if p.p > 0 else 0.0
-    v = t.v
-    coef = fan_power(v, p.p, p.p)
-    if p.p > 0:
-        return t.x + t.y + (coef - v - 1.0 / v) * t.z
-    return coef * t.z
+    return _G(t.x, t.y, t.z, t.v, p.p)
 
 
 def upper_envelope(p, t):
@@ -150,11 +155,29 @@ def carlen_bound(p, t):
     p in (-inf,0) u (1,2). Gamma := 0 at the origin, giving 0 there.
     """
     s = t.x + t.y
-    if s == 0.0:
-        return 0.0
-    gamma = t.gamma
-    coef = xpow(1.0 + xpow(gamma, 2.0 / p.p), p.p - 1.0)
-    return coef * s
+    return 0.0 if s == 0.0 else _carlen(s, t.gamma, p.p)
+
+
+def envelope_arrays(p, x, y, z):
+    """eval_F, eval_G, upper_envelope, lower_envelope and carlen_bound at each
+    ConeTriple(x[i], y[i], z[i]), as float arrays. Rows off the open cone go
+    through ConeTriple (rejected or clamped); x + y = 0 and z = 0 are masked."""
+    x, y, z = (np.array(a, dtype=float) for a in (x, y, z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cs = np.minimum(np.sqrt(x * y), np.sqrt(x) * np.sqrt(y))
+        inside = np.isfinite(x + y) & (z >= 0.0) & (z < cs)
+        for i in np.flatnonzero(~inside).tolist():
+            z[i] = ConeTriple(x[i], y[i], z[i]).z
+        s = x + y
+        k = s != 0.0
+        w = np.minimum(2.0 * z[k] / s[k], 1.0)
+        F, C = np.zeros_like(s), np.zeros_like(s)
+        F[k], C[k] = _F(s[k], w, p.p, np.sqrt), _carlen(s[k], w, p.p)
+        G = s.copy() if p.p > 0 else np.zeros_like(s)
+        k = z != 0.0
+        v = np.minimum(np.minimum(x[k] / z[k], y[k] / z[k]), 1.0)
+        G[k] = _G(x[k], y[k], z[k], v, p.p)
+    return (F, G, F, G, C) if p.f_is_concave else (F, G, G, F, C)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,14 @@ the closed forms it is used to check.
 import copy
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .powers import power_sum
+
+
+def ConvexHull(points):
+    """qhull's hull; scipy.spatial loads at the first build, not on import."""
+    from scipy.spatial import ConvexHull as qhull
+    return qhull(points)
 
 
 def boundary_value(p, s):

@@ -10,11 +10,22 @@ negative-exponent conventions hold bit-exactly at boundary points:
 
 import math
 
+import numpy as np
+
 INF = math.inf
 
 
 def xpow(base, expo):
-    """base ** expo on [0, +inf] with the negative-power conventions."""
+    """base ** expo on [0, +inf] with the negative-power conventions; a
+    float array of bases is taken entry by entry, as by xpow_array."""
+    if type(base) is float:
+        if 0.0 < base < INF:  # base ** 0 is 1.0, as expo == 0 gives below
+            try:
+                return base ** expo
+            except OverflowError:
+                pass  # raised again below, naming the power
+    elif type(base) is np.ndarray:
+        return xpow_array(base, expo)
     if base < 0:
         raise ValueError("xpow requires a nonnegative base, got %r" % (base,))
     if expo == 0:
@@ -28,6 +39,22 @@ def xpow(base, expo):
     except OverflowError:
         raise OverflowError(
             "%r ** %r overflows the float range" % (base, expo)) from None
+
+
+def xpow_array(base, expo):
+    """xpow over a 1-d float array, bit for bit: math.pow (libm's pow, as **
+    uses) on the finite positive entries, xpow itself on the others."""
+    fast = (base > 0.0) & (base < INF)
+    out = np.empty_like(base)
+    out[~fast] = [xpow(b, expo) for b in base[~fast].tolist()]
+    bases = base[fast].tolist()
+    try:
+        out[fast] = list(map(math.pow, bases, [expo] * len(bases)))
+    except OverflowError:
+        for b in bases:
+            xpow(b, expo)  # raises xpow's OverflowError, naming the power
+        raise
+    return out
 
 
 def power_sum(u, v, p):

@@ -158,16 +158,18 @@ def sum_norm(f, g, p):
     return _sum_integral(*refine(f, g), p)
 
 
-def _report(fb, fv, gb, gv, p):
-    """sum_and_report for the pair with breakpoints fb, gb and values fv,
-    gv; one refinement serves the overlap and the sum."""
+def _norms(fb, fv, gb, gv, p):
+    """(x, y, z, |f+g|_p^p) of the pair with breakpoints fb, gb and values
+    fv, gv; one refinement serves the overlap and the sum."""
     merged, rf, rg = _refine(fb, fv, gb, gv)
-    t = _cone_point(_integral(fb, fv, p.p), _integral(gb, gv, p.p),
-                    _overlap_integral(merged, rf, rg, p.p))
-    return BoundReport.at(p, t, _sum_integral(merged, rf, rg, p.p))
+    return (_integral(fb, fv, p), _integral(gb, gv, p),
+            _overlap_integral(merged, rf, rg, p),
+            _sum_integral(merged, rf, rg, p))
 
 
 def sum_and_report(f, g, p):
     """Evaluate |f+g|_p^p and compare it against every applicable bound
     for the Exponent ``p``."""
-    return _report(f.breakpoints, f.values, g.breakpoints, g.values, p)
+    x, y, z, actual = _norms(f.breakpoints, f.values, g.breakpoints,
+                             g.values, p.p)
+    return BoundReport.at(p, _cone_point(x, y, z), actual)

@@ -10,11 +10,11 @@ import math
 import numpy as np
 
 from . import analysis
-from .envelopes import (ConeTriple, classify, lower_envelope, sum_bound,
-                        upper_envelope)
+from .envelopes import (ConeTriple, classify, envelope_arrays,
+                        lower_envelope, sum_bound, upper_envelope)
 from .oracle import EnvelopeOracle
 from .sampling import _draw, random_step_function, substreams
-from .stepfun import (StepFunction, _integral, _refine, _report, overlap_norm,
+from .stepfun import (StepFunction, _integral, _norms, _refine, overlap_norm,
                       pth_power_norm)
 
 P_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)
@@ -44,16 +44,21 @@ def pair_sweep(seed, samples):
     Each exponent of P_GRID draws ``samples // len(P_GRID)`` pairs (at
     least one) from its own substream of ``seed``, each pair as the lists
     random_pair would hold. Returns (violations, worst margin) over both
-    sides.
+    sides, BoundReport.at's margins taken over an exponent's pairs at once.
     """
     per = max(1, samples // len(P_GRID))
 
     def margins():
         for p_val, rng in zip(P_GRID, substreams(seed, len(P_GRID))):
             p = classify(p_val)
-            for _ in range(per):
-                m = _report(*_draw(rng, p.p), *_draw(rng, p.p), p).margins
-                yield min(m["upper"], m["lower"])
+            x, y, z, actual = np.array(
+                [_norms(*_draw(rng, p.p), *_draw(rng, p.p), p.p)
+                 for _ in range(per)]).T
+            _, _, upper, lower, _ = envelope_arrays(p, x, y, z)
+            scale = np.maximum(1.0, np.abs(actual))
+            up, lo = (upper - actual) / scale, (actual - lower) / scale
+            # min(up, lo) as Python takes it: up unless lo is smaller
+            yield from np.where(lo < up, lo, up).tolist()
 
     return _tally(margins())
 

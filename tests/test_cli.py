@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import lpenv
 from lpenv import suites
-from lpenv.cli import main
+from lpenv.cli import fmt, main
+from lpenv.envelopes import (ConeTriple, carlen_bound, classify, eval_F,
+                             eval_G, lower_envelope, upper_envelope)
 from lpenv.stepfun import StepFunction
 
 
@@ -177,6 +184,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "oracle", "--n", "512")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["pair", "--samples", "0"], ["pair", "--samples", "-5", "--seed", "3"],
+        ["sum", "--samples", "0"], ["sum", "--samples", "-1"],
+    ], ids=["pair-zero", "pair-negative", "sum-zero", "sum-negative"])
+    def test_nonpositive_samples_exit2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "samples must be positive" in err
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "verify", "pair", "--seed", "42",
                          "--samples", "500")
@@ -185,7 +202,42 @@ class TestVerify:
         assert out1 == out2
 
 
+def ref_table(p_list, grid):
+    """The table CSV one point at a time through the scalar functions."""
+    rows = ["p,s,z,F,G,upper,lower,carlen"]
+    for p in [classify(float(v)) for v in p_list.split(",")]:
+        for s in np.linspace(-1.0, 1.0, grid):
+            zmax = math.sqrt(max(0.0, 1.0 - s * s))
+            for frac in np.linspace(0.0, 1.0, grid):
+                z = frac * zmax
+                t = ConeTriple(1.0 + s, 1.0 - s, z)
+                rows.append(",".join(fmt(v) for v in (
+                    p.p, s, z, eval_F(p, t), eval_G(p, t),
+                    upper_envelope(p, t), lower_envelope(p, t),
+                    carlen_bound(p, t),
+                )))
+    return "\n".join(rows) + "\n"
+
+
+P_GRID_LIST = ",".join(format(p, "g") for p in suites.P_GRID)
+
+
 class TestTable:
+    @pytest.mark.parametrize("grid", [2, 7, 32])
+    @pytest.mark.parametrize("p_list", [
+        "-0.05", "0.05", "1", "2", "-50", "50", P_GRID_LIST])
+    def test_matches_scalar_table(self, capsys, p_list, grid):
+        code, out, _ = run(capsys, "table", "--p-list=" + p_list,
+                           "--grid", str(grid))
+        assert code == 0
+        assert out == ref_table(p_list, grid)
+
+    def test_overflow_exit2(self, capsys):
+        code, out, err = run(capsys, "table", "--p-list=-0.001", "--grid", "7")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "** -1000.0 overflows" in err
+
     def test_csv_columns_and_values(self, tmp_path, capsys):
         out_path = tmp_path / "t.csv"
         code, _, _ = run(capsys, "table", "--p-list", "1.5,3", "--grid", "5",
@@ -242,3 +294,14 @@ class TestOracleCompare:
                            "--grid", "4", "--out", "/nonexistent-dir/o.csv")
         assert code == 2
         assert err.startswith("error:")
+
+
+def test_import_leaves_out_scipy_spatial():
+    """scipy.spatial is loaded by the first hull build, not by the CLI."""
+    src = os.path.dirname(os.path.dirname(lpenv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, lpenv.cli; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from highprec import ref_F, ref_G, ref_carlen, ref_two_point
 from lpenv.envelopes import (BoundReport, ConeTriple, carlen_bound, classify,
-                             eval_F, eval_G, lower_envelope,
+                             envelope_arrays, eval_F, eval_G, lower_envelope,
                              scalar_three_term, sum_bound, two_point,
                              upper_envelope)
 from lpenv.powers import xpow
+from lpenv.suites import P_GRID
 
 
 class TestClassify:
@@ -204,6 +205,68 @@ class TestCarlen:
                 z = rng.uniform(0, 1) * math.sqrt(x * y)
                 assert carlen_bound(classify(p_val), ConeTriple(x, y, z)) == pytest.approx(
                     float(ref_carlen(p_val, x, y, z)), rel=1e-12)
+
+
+def _array_rows():
+    """10^4 log-uniform cone points over e^-5..e^5, then the edge rows:
+    the origin, z = 0, w = 1, z clamped onto sqrt(xy), and points at
+    1e-300 (x*y underflows) and 1e300."""
+    rng = np.random.default_rng(23)
+    x, y = np.exp(rng.uniform(-5.0, 5.0, (2, 10_000)))
+    z = rng.uniform(0.0, 1.0, 10_000) * np.sqrt(x * y)
+    rows = list(zip(x.tolist(), y.tolist(), z.tolist()))
+    rows += [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 3.0, 0.0), (2.0, 3.0, 0.0),
+             (1.0, 1.0, 1.0), (2.0, 0.5, 1.0), (4.0, 9.0, 6.0),
+             (1.0, 1.0, 1.0 + 1e-12), (4.0, 9.0, 6.0 * (1.0 + 1e-10)),
+             (2.0, 3.0, math.sqrt(6.0) * (1.0 + 4e-16)),
+             (1e-300, 1e-300, 1e-300), (1e-300, 2e-300, 1e-300),
+             (1e-300, 2e-300, 0.0), (1e300, 1e300, 1e300),
+             (1e300, 1e300, 0.5e300), (1e300, 3e299, 0.0)]
+    return rows
+
+
+ARRAY_ROWS = _array_rows()
+ARRAY_TRIPLES = [ConeTriple(*row) for row in ARRAY_ROWS]
+
+
+class TestEnvelopeArrays:
+    """envelope_arrays against the scalar functions, bit for bit."""
+
+    @pytest.mark.parametrize("p_val", P_GRID)
+    def test_matches_scalar(self, p_val):
+        p = classify(p_val)
+        x, y, z = (np.array(col) for col in zip(*ARRAY_ROWS))
+        got = envelope_arrays(p, x, y, z)
+        for col, fn in zip(got, (eval_F, eval_G, upper_envelope,
+                                 lower_envelope, carlen_bound)):
+            want = [fn(p, t) for t in ARRAY_TRIPLES]
+            assert np.array_equal(col, want), fn.__name__
+            assert col.view(np.uint64).tolist() == np.array(
+                want).view(np.uint64).tolist(), fn.__name__
+        # the inputs are left as they were, clamped rows included
+        assert z.tolist() == [row[2] for row in ARRAY_ROWS]
+
+    @pytest.mark.parametrize("row", [
+        (1.0, 1.0, 1.1), (1e200, 1e200, 1e201), (-1.0, 1.0, 0.0),
+        (math.inf, 1.0, 0.0), (1.0, math.nan, 0.0),
+    ], ids=["beyond-slack", "overflowing-product", "negative", "inf", "nan"])
+    def test_rejects_as_cone_triple(self, row):
+        with pytest.raises(ValueError) as want:
+            ConeTriple(*row)
+        rows = [(1.0, 2.0, 0.5), row, (1.0, 1.0, 2.0)]
+        with pytest.raises(ValueError) as got:
+            envelope_arrays(classify(3.0), *(np.array(c) for c in zip(*rows)))
+        assert str(got.value) == str(want.value)
+
+    def test_overflow_names_the_power(self):
+        # eval_F's power sum overflows at p = -0.001, as at the scalar path
+        p, t = classify(-0.001), ConeTriple(1.0, 1.0, 0.01)
+        with pytest.raises(OverflowError) as want:
+            eval_F(p, t)
+        with pytest.raises(OverflowError) as got:
+            envelope_arrays(p, np.array([1.0]), np.array([1.0]), np.array([0.01]))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("** -1000.0 overflows the float range")
 
 
 class TestTwoPoint:

@@ -7,6 +7,7 @@ had before, kept here as the reference.
 
 import math
 import pathlib
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from lpenv import analysis
 from lpenv.envelopes import ConeTriple, classify, eval_F, eval_G
 from lpenv.oracle import boundary_value
-from lpenv.powers import INF, fan_power, power_sum, xpow
+from lpenv.powers import INF, fan_power, power_sum, xpow, xpow_array
 from lpenv.suites import P_GRID, SIGN_EXPONENTS
 
 EXPONENTS = sorted(set(P_GRID) | set(SIGN_EXPONENTS))
@@ -32,6 +33,66 @@ def _triples():
         z = rng.uniform(0, 1) * math.sqrt(x * y)
         out.append(ConeTriple(float(x), float(y), float(z)))
     return out
+
+
+def ref_xpow(base, expo):
+    """xpow as it was before its fast path: the edge cases first."""
+    if base < 0:
+        raise ValueError("xpow requires a nonnegative base, got %r" % (base,))
+    if expo == 0:
+        return 1.0
+    if base == 0:
+        return INF if expo < 0 else 0.0
+    if math.isinf(base):
+        return 0.0 if expo < 0 else INF
+    try:
+        return base ** expo
+    except OverflowError:
+        raise OverflowError(
+            "%r ** %r overflows the float range" % (base, expo)) from None
+
+
+def outcomes(fn, bases, expo):
+    """The bits of fn(b, expo) at each base b, and {index: type and
+    message} of the errors raised."""
+    vals, errors = [], {}
+    rest = iter(bases)
+    while len(vals) < len(bases):
+        try:  # extend keeps the values before a raising base
+            vals.extend(map(fn, rest, repeat(expo)))
+        except (ValueError, OverflowError) as exc:
+            errors[len(vals)] = "%s: %s" % (type(exc).__name__, exc)
+            vals.append(0.0)
+    return np.array(vals).view(np.uint64).tolist(), errors
+
+
+# 10^5 log-uniform bases from subnormal to near the float maximum, and the
+# edge bases 0, +inf, NaN and a negative one
+BASES = np.exp(np.random.default_rng(8).uniform(-740.0, 709.0, 100_000)).tolist()
+BASES += [0.0, INF, math.nan, -1.0]
+# zero, fractional, negative and integral exponents; -2, 3 and -1000
+# overflow on part of the bases
+POWERS = [0.0, 0.5, 2.0 / 3.0, 1.0 / 1.7, -2.0, 3.0, -1000.0]
+
+
+@pytest.mark.parametrize("expo", POWERS)
+class TestXpow:
+    def test_fast_path_matches_reference(self, expo):
+        assert outcomes(xpow, BASES, expo) == outcomes(ref_xpow, BASES, expo)
+
+    def test_array_matches_scalar(self, expo):
+        bases = BASES[:-1]  # the negative base raises: see below
+        bits, errors = outcomes(xpow, bases, expo)
+        if errors:  # the first base that overflows is the one named
+            with pytest.raises(OverflowError) as exc:
+                xpow_array(np.array(bases), expo)
+            assert "OverflowError: %s" % exc.value == errors[min(errors)]
+        else:
+            got = xpow(np.array(bases), expo)
+            assert got.view(np.uint64).tolist() == bits
+        with pytest.raises(ValueError) as exc:
+            xpow_array(np.array([2.0, -1.0]), expo)
+        assert "ValueError: %s" % exc.value == outcomes(xpow, [-1.0], expo)[1][0]
 
 
 def ref_F(p, t):

@@ -9,7 +9,7 @@ from lpenv.envelopes import ConeTriple, classify
 from lpenv.extremal import extremal_F, extremal_G
 from lpenv.powers import INF
 from lpenv.sampling import random_pair, substreams
-from lpenv.stepfun import (StepFunction, _report, overlap_norm,
+from lpenv.stepfun import (StepFunction, _cone_point, _norms, overlap_norm,
                            pth_power_norm, refine, sum_and_report, sum_norm,
                            triple_of_pair)
 from lpenv.suites import P_GRID
@@ -224,16 +224,16 @@ def ref_refine(f, g):
 
 def assert_kernel_matches(pairs, p):
     """On each pair, and on each function paired with itself: refine gives
-    what ref_refine does, and _report on breakpoint and value lists, as
+    what ref_refine does, and _norms on breakpoint and value lists, as
     pair_sweep calls it, gives the floats of triple_of_pair and sum_norm."""
-    exponent = classify(p)
     for f, g in pairs:
         for a, b in ((f, g), (f, f), (g, g)):
             assert repr(refine(a, b)) == repr(ref_refine(a, b)), (a, b)
-            rep = _report(list(a.breakpoints), list(a.values),
-                          list(b.breakpoints), list(b.values), exponent)
-            assert repr(rep.triple) == repr(triple_of_pair(a, b, p)), (p, a, b)
-            assert repr(rep.actual) == repr(sum_norm(a, b, p)), (p, a, b)
+            x, y, z, actual = _norms(list(a.breakpoints), list(a.values),
+                                     list(b.breakpoints), list(b.values), p)
+            assert repr(_cone_point(x, y, z)) == repr(
+                triple_of_pair(a, b, p)), (p, a, b)
+            assert repr(actual) == repr(sum_norm(a, b, p)), (p, a, b)
 
 
 class TestPairNorms:
