@@ -136,6 +136,8 @@ def cmd_table(args):
 
 
 def cmd_oracle_compare(args):
+    if args.grid < 3:  # interior_grid holds no point below 3
+        raise ValueError("--grid must be at least 3, got %d" % args.grid)
     p = classify(args.p)
     rows = ["p,s,z,closed_form,oracle,abs_err,N"]
     oc = EnvelopeOracle(p, args.kind, args.n)

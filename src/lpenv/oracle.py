@@ -40,7 +40,7 @@ class BoundaryCurve:
         theta = np.pi * (np.arange(1, n + 1)) / (n + 1)
         semi_s = np.cos(theta)
         semi_z = np.sin(theta)
-        semi_v = np.array([boundary_value(p, s) for s in semi_s])
+        semi_v = boundary_value(p, semi_s)
         diam_s = np.concatenate(([-1.0, 1.0], np.linspace(-1.0, 1.0, n // 4 + 2)[1:-1]))
         diam_z = np.zeros_like(diam_s)
         diam_v = np.full_like(diam_s, 2.0 if p.p > 0 else 0.0)

@@ -13,7 +13,7 @@ from . import analysis
 from .envelopes import (ConeTriple, classify, envelope_arrays,
                         lower_envelope, sum_bound, upper_envelope)
 from .oracle import EnvelopeOracle
-from .sampling import _draw, random_step_function, substreams
+from .sampling import _draws, random_step_function, substreams
 from .stepfun import (StepFunction, _integral, _norms, _refine, overlap_norm,
                       pth_power_norm)
 
@@ -43,17 +43,18 @@ def pair_sweep(seed, samples):
 
     Each exponent of P_GRID draws ``samples // len(P_GRID)`` pairs (at
     least one) from its own substream of ``seed``, each pair as the lists
-    random_pair would hold. Returns (violations, worst margin) over both
-    sides, BoundReport.at's margins taken over an exponent's pairs at once.
+    random_pair would hold, all drawn by one _draws. Returns (violations,
+    worst margin) over both sides, BoundReport.at's margins taken over an
+    exponent's pairs at once.
     """
     per = max(1, samples // len(P_GRID))
 
     def margins():
         for p_val, rng in zip(P_GRID, substreams(seed, len(P_GRID))):
             p = classify(p_val)
+            fs = _draws(rng, p.p, 2 * per)
             x, y, z, actual = np.array(
-                [_norms(*_draw(rng, p.p), *_draw(rng, p.p), p.p)
-                 for _ in range(per)]).T
+                [_norms(*f, *g, p.p) for f, g in zip(fs[::2], fs[1::2])]).T
             _, _, upper, lower, _ = envelope_arrays(p, x, y, z)
             scale = np.maximum(1.0, np.abs(actual))
             up, lo = (upper - actual) / scale, (actual - lower) / scale

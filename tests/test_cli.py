@@ -295,6 +295,21 @@ class TestOracleCompare:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("grid", ["0", "-2", "1", "2"])
+    def test_empty_grid_exit2(self, capsys, grid):
+        """A grid with no interior point is invalid input, not an empty CSV."""
+        code, out, err = run(capsys, "oracle-compare", "-p", "3", "--n", "64",
+                             "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --grid must be at least 3, got %s\n" % grid
+
+    def test_smallest_grid(self, capsys):
+        code, out, _ = run(capsys, "oracle-compare", "-p", "3", "--n", "64",
+                           "--grid", "3")
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
 
 def test_import_leaves_out_scipy_spatial():
     """scipy.spatial is loaded by the first hull build, not by the CLI."""

@@ -50,6 +50,16 @@ class TestBoundaryCurve:
         # the conventions make phi_p vanish at (+-1, 0) when p < 0
         assert boundary_value(classify(-1), 1.0) == 0.0
 
+    @pytest.mark.parametrize("p_val", P_GRID + (-0.05, 0.05, 7.5, -4.0))
+    @pytest.mark.parametrize("n", [16, 511, 2048, 8192])
+    def test_semicircle_values_match_node_loop(self, p_val, n):
+        """The array call gives boundary_value's floats node by node."""
+        p = classify(p_val)
+        c = BoundaryCurve(p, n)
+        semi_s = c.nodes[:n, 0]
+        loop = np.array([boundary_value(p, s) for s in semi_s])
+        assert np.array_equal(c.values[:n].view(np.uint64), loop.view(np.uint64))
+
 
 class TestOracleEnvelope:
     def test_boundary_node_coincidence(self):

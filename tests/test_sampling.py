@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from lpenv import sampling
 from lpenv.envelopes import classify
-from lpenv.sampling import _draw, random_pair, random_step_function, substreams
+from lpenv.powers import INF
+from lpenv.sampling import (_draw, _draws, random_pair, random_step_function,
+                            substreams)
 from lpenv.stepfun import sum_and_report
 from lpenv.suites import P_GRID, _tally, pair_sweep
 
@@ -47,6 +50,128 @@ class TestRandomPairs:
 
         with pytest.raises(ValueError, match="strictly increasing"):
             random_step_function(ZeroDraw(), 1.0)
+
+
+def planted(word, has_uint32=0, uinteger=0):
+    """A PCG64 generator whose next raw word is ``word`` (below 2**64) and
+    whose 32-bit cache holds ``has_uint32`` and ``uinteger``.
+
+    PCG64 steps its 128-bit state, then outputs the XSL-RR of the new
+    state, which is the low word when the high word is 0; advancing by
+    2**128 - 1 steps back once, so the next step lands on that state.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bg = rng.bit_generator
+    state = bg.state
+    state["state"]["state"] = word
+    bg.state = state
+    bg.advance(2 ** 128 - 1)
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    bg.state = state
+    return rng
+
+
+def rejecting_word():
+    """The first word w >= 2**30 that starts a three-atom function whose
+    degenerate atom is planted: w's low half gives n = 3 and its high half,
+    0, is the cached 32-bit draw that Lemire's method rejects at range 3."""
+    w = 1 << 30
+    while (planted(w).bit_generator.random_raw(7)[6] >> 11) * 2.0 ** -53 >= 0.1:
+        w += 1
+    assert w >> 29 == 2
+    return w
+
+
+def assert_same_as_draw(make, p, counts):
+    """_draws(rng, p, c) for each c of ``counts`` in turn holds what c
+    _draw(twin, p) calls return, and leaves rng's state where they do."""
+    rng, twin = make(), make()
+    for count in counts:
+        assert _draws(rng, p, count) == [_draw(twin, p) for _ in range(count)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestDraws:
+    @pytest.mark.parametrize("p", P_GRID)
+    @pytest.mark.parametrize("count", [1, 2, 500, 2 * sampling._CHUNK + 3])
+    def test_same_as_draw_loop(self, p, count):
+        assert_same_as_draw(lambda: substreams(5, 1)[0], p, [count])
+
+    @pytest.mark.parametrize("seed", [1, 3, 7, 42])
+    def test_successive_calls(self, seed):
+        assert_same_as_draw(lambda: substreams(seed, 1)[0], 1.5,
+                            [500, 1, 37, 0, 500])
+
+    @pytest.mark.parametrize("p", [-1.0, 3.0])
+    def test_cached_uint32_on_entry(self, p):
+        for count in (1, 2, 500):
+            assert_same_as_draw(lambda: planted(987654321, 1, 0xDEADBEEF), p,
+                                [count])
+
+    def test_zero_interior_breakpoint(self):
+        """Atom count 2 from the cached 1 << 29, then the word 0 as the
+        breakpoint: both paths raise and leave the same state."""
+        rng, twin = planted(0, 1, 1 << 29), planted(0, 1, 1 << 29)
+        with pytest.raises(ValueError, match="strictly increasing") as got:
+            _draws(rng, 1.0, 3)
+        with pytest.raises(ValueError, match="strictly increasing") as want:
+            _draw(twin, 1.0)
+        assert str(got.value) == str(want.value)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("p, atom", [(-2.0, INF), (-0.5, INF),
+                                         (0.5, 0.0), (3.0, 0.0)])
+    def test_lemire_rejection(self, p, atom):
+        """The cached draw 0 is rejected at range 3, so the index takes a
+        fresh word and the call ends with the uint32 cache full."""
+        w = rejecting_word()
+        rng, twin = planted(w), planted(w)
+        (breakpoints, values), = _draws(rng, p, 1)
+        assert (breakpoints, values) == _draw(twin, p)
+        assert len(values) == 3 and atom in values
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert_same_as_draw(lambda: planted(w), p, [2, 500])
+
+    def test_buffers_bounded(self):
+        """Each random_raw call takes at most _CHUNK functions' words, and
+        2 * _CHUNK + 3 functions take a few buffers, not one per function."""
+        class Recording:
+            """A bit generator that records each random_raw size."""
+
+            def __init__(self, bg):
+                self.bg, self.sizes = bg, []
+
+            state = property(lambda self: self.bg.state,
+                             lambda self, state: setattr(self.bg, "state", state))
+
+            def advance(self, delta):
+                self.bg.advance(delta)
+                return self
+
+            def random_raw(self, size):
+                self.sizes.append(size)
+                return self.bg.random_raw(size)
+
+        class Rng:
+            bit_generator = Recording(substreams(9, 1)[0].bit_generator)
+
+        count = 2 * sampling._CHUNK + 3
+        twin = substreams(9, 1)[0]
+        assert _draws(Rng, 2.0, count) == [_draw(twin, 2.0) for _ in range(count)]
+        assert Rng.bit_generator.state == twin.bit_generator.state
+        assert max(Rng.bit_generator.sizes) == sampling._CHUNK * sampling._WORDS
+        assert 2 <= len(Rng.bit_generator.sizes) <= 4
+
+    def test_refill_in_rejection_loop(self, monkeypatch):
+        """With a buffer of seven words, the rejected function uses all
+        seven, and the index's next draw takes a new buffer."""
+        monkeypatch.setattr(sampling, "_WORDS", 7)
+        w = rejecting_word()
+        rng, twin = planted(w), planted(w)
+        assert _draws(rng, 3.0, 1) == [_draw(twin, 3.0)]
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestPairSweep:
