@@ -29,6 +29,8 @@ def _dump(obj):
 
 def cmd_bound(args):
     p = classify(args.p)
+    if args.files and args.triple:
+        raise ValueError("give x y z or --files F G, not both")
     if args.files:
         with open(args.files[0]) as fh:
             f = StepFunction.from_json(fh.read())
@@ -76,6 +78,8 @@ def cmd_verify(args):
     violations, worst = 0, 0.0
     if args.suite in ("pair", "sum") and args.samples < 1:
         raise ValueError("--samples must be positive, got %d" % args.samples)
+    if args.suite in ("pair", "sum") and args.seed < 0:
+        raise ValueError("--seed must be non-negative, got %d" % args.seed)
     if args.suite == "pair":
         violations, worst = suites.pair_sweep(args.seed, args.samples)
     elif args.suite == "sum" and args.p_neg:

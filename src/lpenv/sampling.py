@@ -22,50 +22,26 @@ def substreams(seed, count):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _draw(rng, p):
-    """The breakpoints and values of one random step function, as lists.
-
-    Raises the ValueError StepFunction would when an interior breakpoint
-    is drawn as exactly 0.0.
-    """
-    n = int(rng.integers(1, MAX_ATOMS + 1))
-    if n == 1:
-        breakpoints = [0.0, 1.0]
-    else:
-        # random(k) draws exactly what uniform(0.0, 1.0, k) would, faster
-        breakpoints = [0.0, *sorted(set(rng.random(n - 1).tolist())), 1.0]
-        if breakpoints[1] == 0.0:
-            raise ValueError("breakpoints must be strictly increasing")
-    values = np.exp(rng.uniform(-3.0, 3.0, len(breakpoints) - 1)).tolist()
-    if rng.random() < 0.1:
-        k = int(rng.integers(0, len(values)))
-        values[k] = 0.0 if p > 0 else INF
-    return breakpoints, values
-
-
 def _draws(rng, p, count):
-    """The lists of ``count`` successive _draw(rng, p) calls, from PCG64's
-    raw words; leaves ``rng`` where those calls would. ``random`` is
-    (word >> 11) * 2^-53, and ``integers`` is Lemire's method on 32-bit
-    draws: a word's low half, its high half kept in the state's
-    ``uinteger`` (``has_uint32``) for the next draw."""
+    """The breakpoint and value lists of ``count`` random step functions,
+    drawn from PCG64's raw words as these Generator calls would draw each:
+    ``integers(1, 9)`` atoms, ``random(n - 1)`` breakpoints,
+    ``exp(uniform(-3, 3, k))`` on the k intervals, then ``random()`` and
+    ``integers(0, k)`` for a degenerate atom. ``random`` is (word >> 11) *
+    2^-53, and ``integers`` is Lemire's method on 32-bit draws: a word's
+    low half, its high half kept in the state's ``uinteger``
+    (``has_uint32``) for the next draw. Leaves ``rng`` where those calls
+    would; an interior breakpoint of 0.0 raises StepFunction's ValueError.
+    """
     bg = rng.bit_generator
-    start = bg.state
-    has32, cached, used, i = start["has_uint32"], start["uinteger"], 0, 0
-    words = dbl = val = ()
-    out = []
+    state = bg.state
+    has32, cached, i = state["has_uint32"], state["uinteger"], 0
+    words, dbl, val, out = np.empty(0, np.uint64), (), (), []
 
-    def seek():  # bg at word used + i after start, its uint32 cache set
-        bg.state = start
-        state = bg.advance(used + i).state  # advance clears the cache
-        state["has_uint32"], state["uinteger"] = has32, cached
-        bg.state = state
-
-    def refill():
-        nonlocal used, i, words, dbl, val
-        seek()
-        used, i = used + i, 0
-        words = bg.random_raw(min(count - len(out), _CHUNK) * _WORDS)
+    def refill():  # carries the unread words; bg stays at the buffer's end
+        nonlocal i, words, dbl, val
+        fresh = bg.random_raw(min(count - len(out), _CHUNK) * _WORDS)
+        words, i = np.concatenate((words[i:], fresh)), 0
         d = (words >> 11) * 2.0 ** -53
         dbl, val = d.tolist(), np.exp(-3.0 + 6.0 * d).tolist()
 
@@ -80,31 +56,34 @@ def _draws(rng, p, count):
         has32, cached = 1, w >> 32
         return w & 0xFFFFFFFF
 
-    while len(out) < count:
-        if i + _WORDS > len(words):
-            refill()
-        n = 1 + (u32() >> 29)  # Lemire at range 8: the top three bits
-        breakpoints = [0.0, *sorted(set(dbl[i:i + n - 1])), 1.0]
-        i += n - 1
-        if breakpoints[1] == 0.0:
-            seek()
-            raise ValueError("breakpoints must be strictly increasing")
-        values = val[i:i + len(breakpoints) - 1]
-        i += len(values) + 1
-        if dbl[i - 1] < 0.1:
-            k, m, low = 0, len(values), -1
-            # Lemire rejects a low word below (2^32 - m) mod m; m = 1 draws none
-            while m > 1 and low < (1 << 32) % m:
-                k, low = divmod(u32() * m, 1 << 32)
-            values[k] = 0.0 if p > 0 else INF
-        out.append((breakpoints, values))
-    seek()
+    try:
+        while len(out) < count:
+            if i + _WORDS > len(words):
+                refill()
+            n = 1 + (u32() >> 29)  # Lemire at range 8: the top three bits
+            breakpoints = [0.0, *sorted(set(dbl[i:i + n - 1])), 1.0]
+            i += n - 1
+            if breakpoints[1] == 0.0:
+                raise ValueError("breakpoints must be strictly increasing")
+            values = val[i:i + len(breakpoints) - 1]
+            i += len(values) + 1
+            if dbl[i - 1] < 0.1:
+                k, m, low = 0, len(values), -1
+                # Lemire rejects a low word below 2^32 mod m; m = 1 draws none
+                while m > 1 and low < (1 << 32) % m:
+                    k, low = divmod(u32() * m, 1 << 32)
+                values[k] = 0.0 if p > 0 else INF
+            out.append((breakpoints, values))
+    finally:  # step back over the unread words; advance clears the cache
+        state = bg.advance(-(len(words) - i) % 2 ** 128).state
+        state["has_uint32"], state["uinteger"] = has32, cached
+        bg.state = state
     return out
 
 
-def random_step_function(rng, p):
-    return StepFunction(*_draw(rng, p))
+def random_step_functions(rng, p, count):
+    return [StepFunction(*f) for f in _draws(rng, p, count)]
 
 
 def random_pair(rng, p):
-    return random_step_function(rng, p), random_step_function(rng, p)
+    return tuple(random_step_functions(rng, p, 2))

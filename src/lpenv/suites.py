@@ -13,7 +13,7 @@ from . import analysis
 from .envelopes import (ConeTriple, classify, envelope_arrays,
                         lower_envelope, sum_bound, upper_envelope)
 from .oracle import EnvelopeOracle
-from .sampling import _draws, random_step_function, substreams
+from .sampling import _draws, random_step_functions, substreams
 from .stepfun import (StepFunction, _integral, _norms, _refine, overlap_norm,
                       pth_power_norm)
 
@@ -69,15 +69,15 @@ def many_sweep(cases, per, draw):
 
     ``cases`` holds (p, upper, rng) triples; the bound is read as an upper
     bound when ``upper``, a lower bound otherwise. Each sum has 3 to 8
-    terms, its length drawn from ``rng`` and each term by ``draw(rng, p)``.
-    Returns (violations, worst margin).
+    terms, its length n drawn from ``rng`` and its terms by one call
+    ``draw(rng, p, n)``. Returns (violations, worst margin).
     """
     def margins():
         for p_val, upper, rng in cases:
             p = classify(p_val)
             sign = 1.0 if upper else -1.0
             for _ in range(per):
-                fs = [draw(rng, p.p) for _ in range(int(rng.integers(3, 9)))]
+                fs = draw(rng, p.p, int(rng.integers(3, 9)))
                 moments = [pth_power_norm(f, p.p) for f in fs]
                 overlaps = sum(overlap_norm(f, g, p.p)
                                for i, f in enumerate(fs) for g in fs[i + 1:])
@@ -98,7 +98,7 @@ def sum_sweep(seed, samples):
     upper, lower = substreams(seed, 2)
     cases = ([(p, True, upper) for p in SUM_UPPER_PS]
              + [(p, False, lower) for p in SUM_LOWER_PS])
-    return many_sweep(cases, max(1, samples // len(cases)), random_step_function)
+    return many_sweep(cases, max(1, samples // len(cases)), random_step_functions)
 
 
 def p_neg_counterexample():

@@ -194,12 +194,16 @@ def _step_function(rng, p):
     return StepFunction(np.unique(bps), np.exp(rng.uniform(-2, 2, len(np.unique(bps)) - 1)))
 
 
+def _step_functions(rng, p, count):
+    return [_step_function(rng, p) for _ in range(count)]
+
+
 def test_criterion_7_many_functions():
     rng = np.random.default_rng(707)
     cases = [(p_val, upper, rng) for p_val, upper in (
         (1.0, True), (1.5, True), (2.0, True),
         (0.5, False), (1.0, False), (2.0, False), (3.0, False))]
-    violations, _ = suites.many_sweep(cases, 60, _step_function)
+    violations, _ = suites.many_sweep(cases, 60, _step_functions)
     # the p = -1 counterexample with three unit constants, exactly
     lhs, rhs = suites.p_neg_counterexample()
     counterexample = (lhs == pytest.approx(1.0 / 3.0, abs=0) and rhs == -1.5

@@ -78,6 +78,16 @@ class TestBound:
         assert obj["actual"] == pytest.approx(14.0)
         assert all(m >= -1e-9 for m in obj["margins"].values())
 
+    def test_triple_and_files_exit2(self, tmp_path, capsys):
+        """A triple next to --files is rejected, not silently dropped."""
+        fp = tmp_path / "one.json"
+        fp.write_text(StepFunction.constant(1.0).to_json())
+        code, out, err = run(capsys, "bound", "-p", "3", "5", "5", "1",
+                             "--files", str(fp), str(fp))
+        assert code == 2
+        assert out == ""
+        assert err == "error: give x y z or --files F G, not both\n"
+
     def test_malformed_json_exit2(self, tmp_path, capsys):
         fp = tmp_path / "f.json"
         fp.write_text("{not json")
@@ -193,6 +203,13 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "samples must be positive" in err
+
+    @pytest.mark.parametrize("suite", ["pair", "sum"])
+    def test_negative_seed_exit2(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "verify", "pair", "--seed", "42",

@@ -4,10 +4,14 @@ import pytest
 from lpenv import sampling
 from lpenv.envelopes import classify
 from lpenv.powers import INF
-from lpenv.sampling import (_draw, _draws, random_pair, random_step_function,
+from lpenv.envelopes import sum_bound
+from lpenv.sampling import (_draws, random_pair, random_step_functions,
                             substreams)
-from lpenv.stepfun import sum_and_report
-from lpenv.suites import P_GRID, _tally, pair_sweep
+from lpenv.stepfun import (StepFunction, _integral, _refine, overlap_norm,
+                           pth_power_norm, sum_and_report)
+from lpenv.suites import (P_GRID, SUM_LOWER_PS, SUM_UPPER_PS, _tally,
+                          pair_sweep, sum_sweep)
+from reference_draw import _draw
 
 
 def reference_pair_sweep(seed, samples):
@@ -21,6 +25,35 @@ def reference_pair_sweep(seed, samples):
                 f, g = random_pair(rng, p.p)
                 m = sum_and_report(f, g, p).margins
                 yield min(m["upper"], m["lower"])
+
+    return _tally(margins())
+
+
+def reference_sum_sweep(seed, samples):
+    """The sum sweep one term at a time: a _draw per term, then the
+    moments, overlaps and sum norm of each sum as many_sweep takes them."""
+    upper, lower = substreams(seed, 2)
+    cases = ([(p, True, upper) for p in SUM_UPPER_PS]
+             + [(p, False, lower) for p in SUM_LOWER_PS])
+    per = max(1, samples // len(cases))
+
+    def margins():
+        for p_val, upper, rng in cases:
+            p = classify(p_val)
+            sign = 1.0 if upper else -1.0
+            for _ in range(per):
+                fs = [StepFunction(*_draw(rng, p.p))
+                      for _ in range(int(rng.integers(3, 9)))]
+                moments = [pth_power_norm(f, p.p) for f in fs]
+                overlaps = sum(overlap_norm(f, g, p.p)
+                               for i, f in enumerate(fs) for g in fs[i + 1:])
+                bps, vals = fs[0].breakpoints, fs[0].values
+                for f in fs[1:]:
+                    bps, av, bv = _refine(bps, vals, f.breakpoints, f.values)
+                    vals = [a + b for a, b in zip(av, bv)]
+                actual = _integral(bps, vals, p.p)
+                bound = sum_bound(moments, overlaps, p)
+                yield sign * (bound - actual) / max(1.0, abs(actual))
 
     return _tally(margins())
 
@@ -39,17 +72,16 @@ class TestRandomPairs:
         assert sweep.bit_generator.state == twin.bit_generator.state
 
     def test_zero_interior_breakpoint_rejected(self):
-        class ZeroDraw:
-            """Two atoms whose interior breakpoint is drawn as 0.0."""
-
-            def integers(self, low, high):
-                return 2
-
-            def random(self, size=None):
-                return np.zeros(size) if size else 0.5
-
-        with pytest.raises(ValueError, match="strictly increasing"):
-            random_step_function(ZeroDraw(), 1.0)
+        """Two atoms from the cached 1 << 29 and an interior breakpoint
+        drawn as 0.0: the sampler raises _draw's error and leaves the
+        generator where _draw does."""
+        rng, twin = planted(0, 1, 1 << 29), planted(0, 1, 1 << 29)
+        with pytest.raises(ValueError, match="strictly increasing") as got:
+            random_step_functions(rng, 1.0, 1)
+        with pytest.raises(ValueError) as want:
+            _draw(twin, 1.0)
+        assert str(got.value) == str(want.value)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def planted(word, has_uint32=0, uinteger=0):
@@ -184,3 +216,11 @@ class TestPairSweep:
     def test_one_pair_per_exponent(self, samples):
         assert repr(pair_sweep(3, samples)) == repr(
             reference_pair_sweep(3, samples))
+
+
+class TestSumSweep:
+    @pytest.mark.parametrize("seed", [1, 7, 202])
+    @pytest.mark.parametrize("samples", [7, 14, 700])
+    def test_matches_per_term_loop(self, seed, samples):
+        assert repr(sum_sweep(seed, samples)) == repr(
+            reference_sum_sweep(seed, samples))
