@@ -9,8 +9,10 @@ tolerances anywhere are floating-point slack.
 import json
 import math
 
+import numpy as np
+
 from .envelopes import BoundReport, ConeTriple
-from .powers import INF, xpow
+from .powers import INF, xpow, xpow_array
 
 
 class StepFunction:
@@ -20,8 +22,7 @@ class StepFunction:
     __slots__ = ("breakpoints", "values")
 
     def __init__(self, breakpoints, values):
-        bp = tuple(float(b) for b in breakpoints)
-        vals = tuple(float(v) for v in values)
+        bp, vals = tuple(map(float, breakpoints)), tuple(map(float, values))
         if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must run from 0 to 1")
         if not all(b1 < b2 for b1, b2 in zip(bp, bp[1:])):  # NaN fails too
@@ -158,18 +159,43 @@ def sum_norm(f, g, p):
     return _sum_integral(*refine(f, g), p)
 
 
-def _norms(fb, fv, gb, gv, p):
-    """(x, y, z, |f+g|_p^p) of the pair with breakpoints fb, gb and values
-    fv, gv; one refinement serves the overlap and the sum."""
-    merged, rf, rg = _refine(fb, fv, gb, gv)
-    return (_integral(fb, fv, p), _integral(gb, gv, p),
-            _overlap_integral(merged, rf, rg, p),
-            _sum_integral(merged, rf, rg, p))
+def pair_norms(lengths, breakpoints, values, p):
+    """(x, y, z, |f+g|_p^p) as float arrays over the function pairs (0, 1),
+    (2, 3), ... of sampling._draws' columns: the floats of triple_of_pair and
+    sum_norm, each integral summed from 0.0 in _integral's order."""
+    if p == 0:
+        raise ValueError("p must be nonzero")
+    n, bps, vals = (np.array(a) for a in (lengths, breakpoints, values))
+    h, fid = len(n) // 2, np.repeat(np.arange(len(n)), n)  # value -> function
+    ends = np.cumsum(n + 1) - 1  # the index of each function's 1.0
+    left, right = np.delete(bps, ends), np.delete(bps, ends - n)
+    # by (pair, left end): a run's last entry is a merged interval, and the
+    # running maxima of f's and of g's value indices give both values there
+    order = np.lexsort((left, fid >> 1))
+    odd, pair, at = (fid & 1)[order], (fid >> 1)[order], left[order]
+    nxt = np.append(at[1:], 1.0)  # the next left end in the pair, or 1.0
+    nxt[np.append(pair[1:] != pair[:-1], True)] = 1.0
+    keep = nxt != at
+    fv = vals[np.maximum.accumulate(np.where(odd, 0, order))[keep]]
+    gv = vals[np.maximum.accumulate(np.where(odd, order, 0))[keep]]
+    pair, width = pair[keep], (nxt - at)[keep]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf sums
+        product = np.where(np.isinf(fv) | np.isinf(gv), INF, fv * gv)
+        terms = np.concatenate((right - left, width, width)) * np.concatenate(
+            (xpow_array(vals, p), xpow_array(product, 0.5 * p),
+             xpow_array(fv + gv, p)))
+        col = np.concatenate((fid, 2 * h + pair, 3 * h + pair))  # x|y, z, sum
+        row = np.arange(len(col)) - np.searchsorted(col, col)
+        table = np.zeros((row.max() + 1, 4 * h))
+        table[row, col] = terms
+        total = sum(table, np.zeros(4 * h))
+    return (*total[:2 * h].reshape(h, 2).T, total[2 * h:3 * h], total[3 * h:])
 
 
 def sum_and_report(f, g, p):
     """Evaluate |f+g|_p^p and compare it against every applicable bound
-    for the Exponent ``p``."""
-    x, y, z, actual = _norms(f.breakpoints, f.values, g.breakpoints,
-                             g.values, p.p)
-    return BoundReport.at(p, _cone_point(x, y, z), actual)
+    for the Exponent ``p``; one refinement serves the overlap and the sum."""
+    merged, rf, rg = _refine(f.breakpoints, f.values, g.breakpoints, g.values)
+    x, y = (_integral(h.breakpoints, h.values, p.p) for h in (f, g))
+    t = _cone_point(x, y, _overlap_integral(merged, rf, rg, p.p))
+    return BoundReport.at(p, t, _sum_integral(merged, rf, rg, p.p))

@@ -14,8 +14,8 @@ from .envelopes import (ConeTriple, classify, envelope_arrays,
                         lower_envelope, sum_bound, upper_envelope)
 from .oracle import EnvelopeOracle
 from .sampling import _draws, random_step_functions, substreams
-from .stepfun import (StepFunction, _integral, _norms, _refine, overlap_norm,
-                      pth_power_norm)
+from .stepfun import (StepFunction, _integral, _refine, overlap_norm,
+                      pair_norms, pth_power_norm)
 
 P_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)
 SUM_UPPER_PS = (1.0, 1.5, 2.0)
@@ -23,18 +23,18 @@ SUM_LOWER_PS = (0.5, 1.0, 2.0, 3.0)
 SIGN_EXPONENTS = (-2.0, -0.5, 0.5, 0.9, 1.3, 1.7, 2.5, 4.0)
 TORSION_EXPONENTS = (-1.0, 0.5, 1.5, 3.0)
 
-# A margin below -MARGIN_TOL is a violated bound.
+# A margin below -MARGIN_TOL, or NaN, is a violated bound.
 MARGIN_TOL = 1e-9
 
 
 def _tally(margins):
-    """(number of violated margins, smallest margin) of an iterable."""
+    """(violations, worst margin) of margins; a NaN violates and stays worst."""
     violations = 0
     worst = math.inf
     for m in margins:
-        worst = min(worst, m)
-        if m < -MARGIN_TOL:
-            violations += 1
+        if m < worst or m != m:
+            worst = m
+        violations += not m >= -MARGIN_TOL
     return violations, worst
 
 
@@ -42,19 +42,16 @@ def pair_sweep(seed, samples):
     """The sandwich lower <= |f+g|_p^p <= upper on random pairs.
 
     Each exponent of P_GRID draws ``samples // len(P_GRID)`` pairs (at
-    least one) from its own substream of ``seed``, each pair as the lists
-    random_pair would hold, all drawn by one _draws. Returns (violations,
-    worst margin) over both sides, BoundReport.at's margins taken over an
-    exponent's pairs at once.
+    least one), random_pair's functions, from its own substream of ``seed``
+    by one _draws, then takes their norms and BoundReport.at's margins over
+    all its pairs at once. Returns (violations, worst margin) over both sides.
     """
     per = max(1, samples // len(P_GRID))
 
     def margins():
         for p_val, rng in zip(P_GRID, substreams(seed, len(P_GRID))):
             p = classify(p_val)
-            fs = _draws(rng, p.p, 2 * per)
-            x, y, z, actual = np.array(
-                [_norms(*f, *g, p.p) for f, g in zip(fs[::2], fs[1::2])]).T
+            x, y, z, actual = pair_norms(*_draws(rng, p.p, 2 * per), p.p)
             _, _, upper, lower, _ = envelope_arrays(p, x, y, z)
             scale = np.maximum(1.0, np.abs(actual))
             up, lo = (upper - actual) / scale, (actual - lower) / scale

@@ -2,7 +2,8 @@
 
 ``_draw`` is the twin-generator reference for ``lpenv.sampling._draws``:
 ``_draws(rng, p, count)`` must return the lists of ``count`` successive
-``_draw(twin, p)`` calls and leave ``rng`` where they leave ``twin``.
+``_draw(twin, p)`` calls, flattened by ``columns``, and leave ``rng`` where
+they leave ``twin``.
 """
 
 import numpy as np
@@ -30,3 +31,15 @@ def _draw(rng, p):
         k = int(rng.integers(0, len(values)))
         values[k] = 0.0 if p > 0 else INF
     return breakpoints, values
+
+
+def columns(draws):
+    """(lengths, breakpoints, values) of (breakpoints, values) list pairs,
+    as flat lists in _draws' layout: function i holds ``lengths[i]``
+    values and ``lengths[i] + 1`` breakpoints."""
+    lengths, breakpoints, values = [], [], []
+    for bps, vals in draws:
+        lengths.append(len(vals))
+        breakpoints += bps
+        values += vals
+    return lengths, breakpoints, values

@@ -173,6 +173,20 @@ class TestVerify:
         assert code == 0
         assert "violations=0" in out
 
+    def test_pair_nan_margin_exit1(self, capsys, monkeypatch):
+        """A NaN upper bound gives NaN margins: each one is a violation."""
+        arrays = suites.envelope_arrays
+
+        def nan_upper(p, x, y, z):
+            F, G, upper, lower, C = arrays(p, x, y, z)
+            return F, G, np.full_like(upper, np.nan), lower, C
+
+        monkeypatch.setattr(suites, "envelope_arrays", nan_upper)
+        code, out, _ = run(capsys, "verify", "pair", "--seed", "7",
+                           "--samples", "110")
+        assert code == 1
+        assert out == "violations=110 worst_margin=nan\n"
+
     def test_sum_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "sum", "--seed", "3",
                            "--samples", "70")

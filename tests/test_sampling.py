@@ -11,7 +11,7 @@ from lpenv.stepfun import (StepFunction, _integral, _refine, overlap_norm,
                            pth_power_norm, sum_and_report)
 from lpenv.suites import (P_GRID, SUM_LOWER_PS, SUM_UPPER_PS, _tally,
                           pair_sweep, sum_sweep)
-from reference_draw import _draw
+from reference_draw import _draw, columns
 
 
 def reference_pair_sweep(seed, samples):
@@ -116,11 +116,13 @@ def rejecting_word():
 
 
 def assert_same_as_draw(make, p, counts):
-    """_draws(rng, p, c) for each c of ``counts`` in turn holds what c
-    _draw(twin, p) calls return, and leaves rng's state where they do."""
+    """_draws(rng, p, c) for each c of ``counts`` in turn holds the columns
+    of what c _draw(twin, p) calls return, and leaves rng's state where
+    they do."""
     rng, twin = make(), make()
     for count in counts:
-        assert _draws(rng, p, count) == [_draw(twin, p) for _ in range(count)]
+        assert _draws(rng, p, count) == columns(
+            [_draw(twin, p) for _ in range(count)])
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -159,8 +161,9 @@ class TestDraws:
         fresh word and the call ends with the uint32 cache full."""
         w = rejecting_word()
         rng, twin = planted(w), planted(w)
-        (breakpoints, values), = _draws(rng, p, 1)
+        [n], breakpoints, values = _draws(rng, p, 1)
         assert (breakpoints, values) == _draw(twin, p)
+        assert n == 3
         assert len(values) == 3 and atom in values
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.bit_generator.state["has_uint32"] == 1
@@ -191,7 +194,8 @@ class TestDraws:
 
         count = 2 * sampling._CHUNK + 3
         twin = substreams(9, 1)[0]
-        assert _draws(Rng, 2.0, count) == [_draw(twin, 2.0) for _ in range(count)]
+        assert _draws(Rng, 2.0, count) == columns(
+            [_draw(twin, 2.0) for _ in range(count)])
         assert Rng.bit_generator.state == twin.bit_generator.state
         assert max(Rng.bit_generator.sizes) == sampling._CHUNK * sampling._WORDS
         assert 2 <= len(Rng.bit_generator.sizes) <= 4
@@ -202,8 +206,30 @@ class TestDraws:
         monkeypatch.setattr(sampling, "_WORDS", 7)
         w = rejecting_word()
         rng, twin = planted(w), planted(w)
-        assert _draws(rng, 3.0, 1) == [_draw(twin, 3.0)]
+        assert _draws(rng, 3.0, 1) == columns([_draw(twin, 3.0)])
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestTally:
+    def test_empty(self):
+        assert _tally([]) == (0, np.inf)
+
+    def test_counts_below_tolerance(self):
+        assert _tally([0.5, -1e-16, -2e-9, 0.0, -3.0]) == (2, -3.0)
+        assert _tally([-1e-9, 1.0]) == (0, -1e-9)
+
+    def test_nan_alone_is_a_violation(self):
+        violations, worst = _tally([float("nan")])
+        assert violations == 1 and np.isnan(worst)
+
+    @pytest.mark.parametrize("margins", [
+        [0.0, float("nan"), -1e-16], [float("nan"), -5.0, 1.0],
+        [-5.0, 1.0, float("nan")],
+    ], ids=["middle", "first", "last"])
+    def test_nan_reaches_worst(self, margins):
+        violations, worst = _tally(margins)
+        assert violations == 1 + sum(m < -1e-9 for m in margins)
+        assert np.isnan(worst)
 
 
 class TestPairSweep:

@@ -9,10 +9,11 @@ from lpenv.envelopes import ConeTriple, classify
 from lpenv.extremal import extremal_F, extremal_G
 from lpenv.powers import INF
 from lpenv.sampling import random_pair, substreams
-from lpenv.stepfun import (StepFunction, _cone_point, _norms, overlap_norm,
-                           pth_power_norm, refine, sum_and_report, sum_norm,
-                           triple_of_pair)
+from lpenv.stepfun import (StepFunction, _cone_point, overlap_norm,
+                           pair_norms, pth_power_norm, refine, sum_and_report,
+                           sum_norm, triple_of_pair)
 from lpenv.suites import P_GRID
+from reference_draw import columns
 
 
 def chi(a, b, value):
@@ -59,7 +60,8 @@ class TestNorms:
         lambda f: pth_power_norm(f, 0.0),
         lambda f: overlap_norm(f, f, 0.0),
         lambda f: sum_norm(f, f, 0.0),
-    ], ids=["pth_power_norm", "overlap_norm", "sum_norm"])
+        lambda f: pair_norms(*as_columns([(f, f)]), 0.0),
+    ], ids=["pth_power_norm", "overlap_norm", "sum_norm", "pair_norms"])
     def test_rejects_p_zero(self, norm):
         with pytest.raises(ValueError):
             norm(StepFunction.constant(1.0))
@@ -222,22 +224,39 @@ def ref_refine(f, g):
     return merged, fv, gv
 
 
+def as_columns(pairs):
+    """The functions f, g of each pair in turn, in _draws' columns."""
+    return columns([(list(h.breakpoints), list(h.values))
+                    for pair in pairs for h in pair])
+
+
+def assert_pair_norms(pairs, p):
+    """pair_norms over all ``pairs`` at once, as pair_sweep calls it on
+    _draws' columns, gives each pair the floats of pth_power_norm,
+    overlap_norm and sum_norm, and of triple_of_pair where it is finite."""
+    x, y, z, actual = pair_norms(*as_columns(pairs), p)
+    for (a, b), *got in zip(pairs, x.tolist(), y.tolist(), z.tolist(),
+                            actual.tolist()):
+        want = [pth_power_norm(a, p), pth_power_norm(b, p),
+                overlap_norm(a, b, p), sum_norm(a, b, p)]
+        assert repr(got) == repr(want), (p, a, b)
+        if all(map(math.isfinite, got[:3])):
+            assert repr(_cone_point(*got[:3])) == repr(
+                triple_of_pair(a, b, p)), (p, a, b)
+
+
 def assert_kernel_matches(pairs, p):
     """On each pair, and on each function paired with itself: refine gives
-    what ref_refine does, and _norms on breakpoint and value lists, as
-    pair_sweep calls it, gives the floats of triple_of_pair and sum_norm."""
-    for f, g in pairs:
-        for a, b in ((f, g), (f, f), (g, g)):
-            assert repr(refine(a, b)) == repr(ref_refine(a, b)), (a, b)
-            x, y, z, actual = _norms(list(a.breakpoints), list(a.values),
-                                     list(b.breakpoints), list(b.values), p)
-            assert repr(_cone_point(x, y, z)) == repr(
-                triple_of_pair(a, b, p)), (p, a, b)
-            assert repr(actual) == repr(sum_norm(a, b, p)), (p, a, b)
+    what ref_refine does, and pair_norms over the whole batch gives the
+    floats of triple_of_pair and sum_norm."""
+    batch = [(a, b) for f, g in pairs for a, b in ((f, g), (f, f), (g, g))]
+    for a, b in batch:
+        assert repr(refine(a, b)) == repr(ref_refine(a, b)), (a, b)
+    assert_pair_norms(batch, p)
 
 
 class TestPairNorms:
-    """The norms of a pair from the one refinement kernel, against
+    """The norms of every pair from the columnar kernel, against
     ref_refine, triple_of_pair and sum_norm, bit for bit."""
 
     @pytest.mark.parametrize("p", P_GRID)
@@ -265,6 +284,51 @@ class TestPairNorms:
                   ConeTriple(4.0, 0.5, 1.4)):
             pairs += [extremal_F(exponent, t), extremal_G(exponent, t)]
         assert_kernel_matches(pairs, p)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_single_pair(self, p):
+        f = StepFunction((0.0, 0.3, 1.0), (2.0, 0.5))
+        g = StepFunction((0.0, 0.6, 0.8, 1.0), (1.5, 0.25, 4.0))
+        assert_pair_norms([(f, g)], p)
+        assert_kernel_matches([(f, g)], p)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_one_interval_functions(self, p):
+        consts = [StepFunction.constant(v) for v in (0.05, 1.0, 1.5, 20.0)]
+        assert_kernel_matches([(a, b) for a in consts for b in consts], p)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_identical_breakpoints(self, p):
+        bps = (0.0, 0.125, 0.3, 0.7, 1.0)
+        f = StepFunction(bps, (2.0, 0.5, 3.0, 1.25))
+        g = StepFunction(bps, (0.75, 4.0, 1.0, 0.5))
+        h = StepFunction(bps, (1.0, 1.0, 1.0, 1.0))
+        assert_kernel_matches([(f, g), (g, h), (h, f)], p)
+
+    @pytest.mark.parametrize("p", [-2.0, -1.0, -0.5])
+    def test_inf_atoms_on_one_interval(self, p):
+        """+inf in both functions on a shared interval: the product there
+        is +inf and adds 0, as do both +inf atoms to x, y and the sum."""
+        f = StepFunction((0.0, 0.25, 0.5, 1.0), (2.0, INF, 0.5))
+        g = StepFunction((0.0, 0.25, 0.5, 1.0), (1.0, INF, 3.0))
+        g2 = StepFunction((0.0, 0.375, 1.0), (INF, 1.5))
+        assert_kernel_matches([(f, g), (f, g2), (g2, g)], p)
+
+    @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 3.0])
+    def test_inf_against_zero(self, p):
+        """0 against +inf on one interval: inf * 0 counts as +inf, so z
+        takes 0 there for p < 0 and +inf for p > 0; x or y is +inf."""
+        f = StepFunction((0.0, 0.5, 1.0), (INF, 2.0))
+        g = StepFunction((0.0, 0.5, 1.0), (0.0, 1.0))
+        g2 = StepFunction((0.0, 0.25, 0.75, 1.0), (0.0, 3.0, 0.5))
+        assert_pair_norms([(f, g), (g, f), (f, g2), (g2, f)], p)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 5.0])
+    def test_zero_atoms(self, p):
+        f = StepFunction((0.0, 0.5, 1.0), (0.0, 2.0))
+        g = StepFunction((0.0, 0.25, 0.5, 1.0), (3.0, 0.0, 0.0))
+        zero = StepFunction.constant(0.0)
+        assert_kernel_matches([(f, g), (f, zero), (zero, zero), (g, f)], p)
 
     @pytest.mark.parametrize("p, f, g", [
         (-1.0, chi(0.0, 0.5, 2.0), StepFunction.constant(1.0)),  # x = +inf
