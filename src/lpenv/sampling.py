@@ -92,6 +92,4 @@ def random_step_functions(rng, p, count):
 
 
 def random_pair(rng, p):
-    (m, _), bps, vals = _draws(rng, p, 2)
-    return (StepFunction(bps[:m + 1], vals[:m]),
-            StepFunction(bps[m + 1:], vals[m:]))
+    return tuple(random_step_functions(rng, p, 2))

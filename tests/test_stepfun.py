@@ -330,6 +330,22 @@ class TestPairNorms:
         zero = StepFunction.constant(0.0)
         assert_kernel_matches([(f, g), (f, zero), (zero, zero), (g, f)], p)
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_rejects_odd_or_no_functions(self, count):
+        f = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
+        lengths, bps, vals = columns([(list(f.breakpoints), list(f.values))]
+                                     * count)
+        with pytest.raises(ValueError, match="even"):
+            pair_norms(lengths, bps, vals, 2.0)
+
+    def test_overflow_after_inf_term_raises(self):
+        """Where pth_power_norm stops at a +inf term, pair_norms still takes
+        every power, so 1e-300 ** -2 raises instead of returning +inf."""
+        f = StepFunction((0.0, 0.5, 1.0), (0.0, 1e-300))
+        assert pth_power_norm(f, -2.0) == INF
+        with pytest.raises(OverflowError):
+            pair_norms(*as_columns([(f, StepFunction.constant(1.0))]), -2.0)
+
     @pytest.mark.parametrize("p, f, g", [
         (-1.0, chi(0.0, 0.5, 2.0), StepFunction.constant(1.0)),  # x = +inf
         (-0.5, StepFunction.constant(1.0), chi(0.25, 1.0, 3.0)),  # y = +inf
