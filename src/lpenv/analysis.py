@@ -1,4 +1,4 @@
-"""Scalar sign-analysis functions behind the concavity/convexity claims,
+"""Sign-analysis functions behind the concavity/convexity claims,
 plus the torsion of the boundary space curve.
 
 The sign tables these produce certify numerically which of the two
@@ -48,7 +48,7 @@ def h_fn(t, p):
 
 
 def h_fn_d1(t, p):
-    return h_tilde_fn_d1(t, p) - (1.0 - t ** -2.0)
+    return h_tilde_fn_d1(t, p) - (1.0 - xpow(t, -2.0))
 
 
 def h_fn_d2(t, p):
@@ -56,7 +56,8 @@ def h_fn_d2(t, p):
     _require_unit_interval(t)
     pp = p.p
     u = xpow(t, 2.0 / pp)
-    return 2.0 * t ** -3.0 * (xpow(1.0 + u, pp - 2.0) * (1.0 + (2.0 / pp - 1.0) * u) - 1.0)
+    return 2.0 * xpow(t, -3.0) * (
+        xpow(1.0 + u, pp - 2.0) * (1.0 + (2.0 / pp - 1.0) * u) - 1.0)
 
 
 def h_tilde_fn(t, p):
@@ -67,33 +68,32 @@ def h_tilde_fn(t, p):
 
 def h_tilde_fn_d1(t, p):
     _require_unit_interval(t)
-    pp = p.p
-    inv = 1.0 / pp
+    pp, inv = p.p, 1.0 / p.p
     return (fan_power(t, pp, pp - 1.0)
             * (xpow(t, inv - 1.0) - xpow(t, -inv - 1.0)))
 
 
 def h_tilde_fn_d2(t, p):
     _require_unit_interval(t)
-    pp = p.p
-    inv = 1.0 / pp
-    return (2.0 * t ** -2.0 * fan_power(t, pp, pp - 2.0)
+    pp, inv = p.p, 1.0 / p.p
+    return (2.0 * xpow(t, -2.0) * fan_power(t, pp, pp - 2.0)
             * (xpow(t, -2.0 * inv) + (2.0 / pp - 1.0)))
 
 
 def _require_unit_interval(t):
-    if not 0.0 < t <= 1.0:
+    if not np.all((0.0 < t) & (t <= 1.0)):
         raise ValueError("t must lie in (0, 1], got %r" % (t,))
 
 
 def sign_of(value, tol=ZERO_TOL):
-    if abs(value) <= tol:
-        return 0
-    return 1 if value > 0 else -1
+    """0 within tol of zero, else 1 above and -1 below or at NaN; floats or arrays."""
+    sign = np.where(np.abs(value) <= tol, 0, np.where(value > 0, 1, -1))
+    return sign if sign.ndim else int(sign)
 
 
-def _curve_point(p, s):
-    return np.array([s, math.sqrt(max(0.0, 1.0 - s * s)), boundary_value(p, s)])
+def _curve(p, s):
+    """gamma at each entry of the array s, as a 3 x len(s) array."""
+    return np.array([s, np.sqrt(np.maximum(0.0, 1.0 - s * s)), boundary_value(p, s)])
 
 
 def _fd(f, h, order):
@@ -106,6 +106,13 @@ def _fd(f, h, order):
     return (f[2] - 2 * f[1] + 2 * f[-1] - f[-2]) / (2 * h ** 3)
 
 
+def _dots(a, b):
+    """The column dot products of the 3 x n arrays a and b, each by 1-d
+    a @ b's loop: a plain sum of the three products rounds differently."""
+    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    return (a[:, None, :] @ b[:, :, None]).ravel()
+
+
 @dataclass
 class TorsionReport:
     count: int
@@ -114,56 +121,37 @@ class TorsionReport:
     blowups: list = field(default_factory=list)
 
 
-def torsion_sign_changes(p, grid=512, margin=1e-3):
+def torsion_sign_changes(p, grid=512):
     """Count sign changes of the Frenet torsion of the boundary curve
     gamma(s) = (s, sqrt(1-s^2), phi_p(s)) over s in (-1, 1).
 
-    Derivatives come from finite differences (steps 1e-5 for gamma',
-    gamma'' and 1e-3 for gamma'''); grid points where the stencil leaves
-    the domain or produces non-finite values are reported as blowups, not
-    silently dropped into the sign count.
+    Derivatives come from finite differences at all grid points at once
+    (steps 1e-5 for gamma', gamma'' and 1e-3 for gamma'''); grid points
+    where the stencil leaves the domain or produces non-finite values are
+    reported as blowups, not silently dropped into the sign count.
     """
     if p.p in (1.0, 2.0):
         raise ValueError("torsion vanishes identically at p in {1, 2}")
     h12, h3 = 1e-5, 1e-3
-    ss = np.linspace(-1.0 + margin, 1.0 - margin, grid)
-    taus, locs, blowups = [], [], []
-    fun = lambda s: _curve_point(p, s)
-    for s in ss:
-        if abs(s) + 3 * h3 >= 1.0:
-            blowups.append(float(s))
-            continue
-        fine = {k: fun(s + k * h12) for k in (-2, -1, 0, 1, 2)}
-        coarse = {k: fun(s + k * h3) for k in (-2, -1, 1, 2)}
-        d1 = _fd(fine, h12, 1)
-        d2 = _fd(fine, h12, 2)
-        d3 = _fd(coarse, h3, 3)
-        cross = np.cross(d1, d2)
-        denom = float(cross @ cross)
-        tau = float(cross @ d3) / denom if denom > 0 else math.nan
-        if not math.isfinite(tau):
-            blowups.append(float(s))
-            continue
-        taus.append(tau)
-        locs.append(float(s))
-    taus = np.array(taus)
-    locs = np.array(locs)
-    tol = 1e-9 * np.max(np.abs(taus))
-    signs = np.where(np.abs(taus) <= tol, 0, np.sign(taus)).astype(int)
-    nz = signs != 0
-    seq = signs[nz]
-    pos = locs[nz]
-    count = 0
-    location = math.nan
-    direction = ""
-    for i in range(1, len(seq)):
-        if seq[i] != seq[i - 1]:
-            count += 1
-            # linear interpolation of the crossing between the two samples
-            t0, t1 = taus[nz][i - 1], taus[nz][i]
-            location = pos[i - 1] + (pos[i] - pos[i - 1]) * (-t0) / (t1 - t0)
-            direction = (
-                "minus_to_plus" if seq[i] > seq[i - 1] else "plus_to_minus"
-            )
-    return TorsionReport(count=count, location=location, direction=direction,
-                         blowups=blowups)
+    ss = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, grid)
+    inside = np.abs(ss) + 3 * h3 < 1.0
+    s = ss[inside]
+    fine = {k: _curve(p, s + k * h12) for k in (-2, -1, 0, 1, 2)}
+    coarse = {k: _curve(p, s + k * h3) for k in (-2, -1, 1, 2)}
+    cross = np.cross(_fd(fine, h12, 1), _fd(fine, h12, 2), axis=0)
+    tau = np.full(grid, math.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau[inside] = _dots(cross, _fd(coarse, h3, 3)) / _dots(cross, cross)
+    good = np.isfinite(tau)
+    tau, pos = tau[good], ss[good]
+    seq = sign_of(tau, 1e-9 * np.max(np.abs(tau)))
+    tau, pos, seq = tau[seq != 0], pos[seq != 0], seq[seq != 0]
+    flips = np.flatnonzero(seq[1:] != seq[:-1])
+    location, direction = math.nan, ""
+    if len(flips):
+        # linear interpolation of the last crossing between its two samples
+        i = flips[-1] + 1
+        t0, t1 = tau[i - 1], tau[i]
+        location = pos[i - 1] + (pos[i] - pos[i - 1]) * (-t0) / (t1 - t0)
+        direction = "minus_to_plus" if seq[i] > seq[i - 1] else "plus_to_minus"
+    return TorsionReport(len(flips), location, direction, ss[~good].tolist())

@@ -180,6 +180,10 @@ def envelope_arrays(p, x, y, z):
     return (F, G, F, G, C) if p.f_is_concave else (F, G, G, F, C)
 
 
+# A margin below -MARGIN_TOL, or NaN, is a violated bound.
+MARGIN_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Comparison of an actual |f+g|_p^p against every applicable bound.
@@ -216,8 +220,8 @@ class BoundReport:
             carlen=carlen, margins=margins,
         )
 
-    def ok(self, tol=1e-9):
-        return all(m >= -tol for m in self.margins.values())
+    def ok(self):
+        return all(m >= -MARGIN_TOL for m in self.margins.values())
 
     def to_dict(self):
         return asdict(self)

@@ -10,8 +10,7 @@ import math
 import numpy as np
 
 from . import analysis
-from .envelopes import (ConeTriple, classify, envelope_arrays,
-                        lower_envelope, sum_bound, upper_envelope)
+from .envelopes import MARGIN_TOL, classify, envelope_arrays, sum_bound
 from .oracle import EnvelopeOracle
 from .sampling import _draws, random_step_functions, substreams
 from .stepfun import (StepFunction, _integral, _refine, overlap_norm,
@@ -23,8 +22,8 @@ SUM_LOWER_PS = (0.5, 1.0, 2.0, 3.0)
 SIGN_EXPONENTS = (-2.0, -0.5, 0.5, 0.9, 1.3, 1.7, 2.5, 4.0)
 TORSION_EXPONENTS = (-1.0, 0.5, 1.5, 3.0)
 
-# A margin below -MARGIN_TOL, or NaN, is a violated bound.
-MARGIN_TOL = 1e-9
+# An oracle error above ORACLE_TOL, or NaN, is a violation.
+ORACLE_TOL = 2e-2
 
 
 def _tally(margins):
@@ -115,21 +114,17 @@ def sign_tables():
     """
     xs = np.linspace(1e-3, 1.0, 1000)
 
-    def signs(fn, p):
-        return {analysis.sign_of(fn(float(x), p)) for x in xs}
+    def keeps(fn, p, sign):  # fn is 0 or has the sign ``sign`` all over xs
+        return -sign not in analysis.sign_of(fn(xs, p))
 
     for p_val in SIGN_EXPONENTS:
         p = classify(p_val)
-        v_ok = signs(analysis.v_fn, p) <= (
-            {0, -1} if p.f_is_concave else {0, 1})
-        if p_val > 0:
-            want = {0, 1} if p.f_is_concave else {0, -1}
-            g_ok = signs(analysis.g_fn, p) <= want
-            h_ok = signs(analysis.h_fn_d2, p) <= want
-        else:
-            g_ok = True
-            h_ok = signs(analysis.h_tilde_fn_d2, p) <= {0, -1}
-        yield p_val, v_ok, g_ok, h_ok
+        # g and h'' (h~'' for p < 0) are >= 0 where F_p is the concave
+        # envelope and <= 0 where G_p is; v has the opposite sign
+        sign = 1 if p.f_is_concave else -1
+        h = analysis.h_fn_d2 if p_val > 0 else analysis.h_tilde_fn_d2
+        g_ok = p_val < 0 or keeps(analysis.g_fn, p, sign)
+        yield p_val, keeps(analysis.v_fn, p, -sign), g_ok, keeps(h, p, sign)
 
 
 def torsion_checks(grid=512):
@@ -145,35 +140,32 @@ def torsion_checks(grid=512):
         yield p_val, rep, ok
 
 
-def interior_grid(m=20, margin=0.02):
-    """Points (s, z) of an m x m grid kept ``margin`` inside the half-disc."""
-    pts = []
-    for s in np.linspace(-1.0 + margin, 1.0 - margin, m):
-        zmax = math.sqrt(1.0 - s * s)
-        for z in np.linspace(margin, zmax - margin, m):
-            if z > 0.0 and s * s + z * z < (1.0 - margin) ** 2:
-                pts.append((float(s), float(z)))
-    return pts
+def interior_grid(m=20):
+    """Rows (s, z) of an m x m grid kept 0.02 inside the half-disc."""
+    margin = 0.02
+    s = np.linspace(-1.0 + margin, 1.0 - margin, m)
+    z = np.linspace(margin, np.sqrt(1.0 - s * s) - margin, m, axis=1)
+    s = np.broadcast_to(s[:, None], z.shape)
+    keep = (z > 0.0) & (s * s + z * z < (1.0 - margin) ** 2)
+    return np.column_stack((s[keep], z[keep]))
 
 
 def oracle_comparison(oc, m=20):
-    """(s, z, closed form, oracle) at each point of interior_grid(m) for
+    """The columns (s, z, closed form, oracle) over interior_grid(m) for
     the oracle ``oc`` and the closed-form envelope of its kind."""
-    closed = upper_envelope if oc.kind == "concave" else lower_envelope
-    pts = interior_grid(m)
-    ovs = oc.evaluate(np.array([s for s, _ in pts]), np.array([z for _, z in pts]))
-    return [(s, z, closed(oc.curve.p, ConeTriple(1.0 + s, 1.0 - s, z)), float(ov))
-            for (s, z), ov in zip(pts, ovs)]
+    s, z = interior_grid(m).T
+    _, _, upper, lower, _ = envelope_arrays(oc.curve.p, 1.0 + s, 1.0 - s, z)
+    closed = upper if oc.kind == "concave" else lower
+    return s, z, closed, oc.evaluate(s, z)
 
 
 def oracle_errors(n):
     """Yield (p, kind, err) for each exponent of P_GRID and envelope kind:
-    err is the largest |oracle - closed form| / max(1, |closed form|) of
-    oracle_comparison at n curve nodes. Both kinds share one hull build."""
+    err is the largest |oracle - closed form| / max(1, |closed form|) (or
+    NaN) of oracle_comparison at n nodes. Both kinds share one hull build."""
     for p_val in P_GRID:
         concave = EnvelopeOracle(classify(p_val), "concave", n)
         for oc in (concave, concave.opposite()):
-            err = 0.0
-            for _, _, cf, ov in oracle_comparison(oc):
-                err = max(err, abs(ov - cf) / max(1.0, abs(cf)))
-            yield p_val, oc.kind, err
+            _, _, cf, ov = oracle_comparison(oc)
+            err = np.max(np.abs(ov - cf) / np.maximum(1.0, np.abs(cf)))
+            yield p_val, oc.kind, float(err)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_torsion
 from highprec import ref_diff, ref_h, ref_h_tilde
 from lpenv import analysis
 from lpenv.envelopes import classify
@@ -146,7 +147,50 @@ class TestTorsion:
             analysis.torsion_sign_changes(classify(2.0))
 
     def test_blowups_reported(self):
-        rep = analysis.torsion_sign_changes(classify(3.0), grid=128, margin=1e-3)
+        rep = analysis.torsion_sign_changes(classify(3.0), grid=128)
         # stencil leaves [-1, 1] near the endpoints; those points are listed
         assert len(rep.blowups) >= 2
         assert all(abs(s) > 0.99 for s in rep.blowups)
+
+    @pytest.mark.parametrize("grid", [128, 256, 512])
+    @pytest.mark.parametrize("p_val", [-2.0, -1.0, -0.5, 0.5, 0.9, 1.3, 1.5,
+                                       2.5, 3.0, 4.0])
+    def test_matches_point_loop(self, p_val, grid):
+        """The one-pass stencil gives the per-point loop's report exactly."""
+        p = classify(p_val)
+        got = analysis.torsion_sign_changes(p, grid=grid)
+        want = reference_torsion.torsion_sign_changes(p, grid=grid)
+        assert repr((got.count, got.location, got.direction, got.blowups)) == repr(
+            (want.count, want.location, want.direction, want.blowups))
+
+
+ARRAY_FUNCTIONS = ("v_fn", "g_fn", "h_fn", "h_fn_d1", "h_fn_d2", "h_tilde_fn",
+                   "h_tilde_fn_d1", "h_tilde_fn_d2")
+
+
+class TestArrayInputs:
+    @pytest.mark.parametrize("name", ARRAY_FUNCTIONS)
+    @pytest.mark.parametrize("p_val", SIGN_EXPONENTS + (-1.0, 1.0, 1.5, 2.0, 3.0))
+    def test_array_matches_scalar_calls(self, name, p_val):
+        fn, p = getattr(analysis, name), classify(p_val)
+        xs = np.linspace(1e-3, 1.0, 1000)
+        assert np.array_equal(fn(xs, p), [fn(float(x), p) for x in xs])
+
+    def test_sign_of_array_matches_scalar_rule(self):
+        tol = analysis.ZERO_TOL
+        vals = np.array([math.nan, 0.0, -0.0, tol, -tol, np.nextafter(tol, 1.0),
+                         -np.nextafter(tol, 1.0), 1.0, -1.0, math.inf, -math.inf])
+        got = analysis.sign_of(vals)
+        assert got.tolist() == [analysis.sign_of(float(v)) for v in vals]
+        assert got.tolist() == [-1, 0, 0, 0, 0, 1, -1, 1, -1, 1, -1]
+        assert analysis.sign_of(0.5, tol=1.0) == 0
+        assert analysis.sign_of(np.array([0.5, 1.5]), tol=1.0).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
+    def test_unit_interval_rejects_one_entry_outside(self, bad):
+        ts = np.linspace(0.1, 1.0, 10)
+        ts[4] = bad
+        for fn in (analysis.h_fn_d2, analysis.h_tilde_fn, analysis.h_tilde_fn_d1,
+                   analysis.h_tilde_fn_d2):
+            with pytest.raises(ValueError):
+                fn(ts, classify(2.5))

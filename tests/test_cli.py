@@ -147,8 +147,9 @@ def analysis_summary():
 
 
 def oracle_summary(n):
+    # a NaN error is a violation and the worst error
     errs = [err for _, _, err in suites.oracle_errors(n)]
-    return sum(err > 2e-2 for err in errs), max(errs)
+    return sum(not err <= suites.ORACLE_TOL for err in errs), np.max(errs)
 
 
 class TestVerify:
@@ -186,6 +187,15 @@ class TestVerify:
                            "--samples", "110")
         assert code == 1
         assert out == "violations=110 worst_margin=nan\n"
+
+    def test_oracle_nan_error_exit1(self, capsys, monkeypatch):
+        """A NaN oracle value gives a NaN error: each one is a violation."""
+        monkeypatch.setattr(suites.EnvelopeOracle, "evaluate",
+                            lambda self, s, z: np.full(np.shape(s), np.nan))
+        code, out, _ = run(capsys, "verify", "oracle", "--n", "64")
+        assert code == 1
+        assert out.splitlines()[-1] == "violations=%d worst_margin=nan" % (
+            2 * len(suites.P_GRID))
 
     def test_sum_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "sum", "--seed", "3",

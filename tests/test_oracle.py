@@ -8,7 +8,7 @@ import pytest
 from lpenv import oracle
 from lpenv.envelopes import ConeTriple, classify, lower_envelope, upper_envelope
 from lpenv.oracle import BoundaryCurve, EnvelopeOracle, boundary_value
-from lpenv.suites import P_GRID, interior_grid
+from lpenv.suites import P_GRID, interior_grid, oracle_comparison
 
 from empirical import empirical_B
 
@@ -184,6 +184,36 @@ class TestBatchedQuery:
                 assert np.array_equal(mine, theirs)
         # p = 1 and 2 are coplanar and never reach qhull
         assert len(builds) == (0 if p.p in (1.0, 2.0) else 4)
+
+
+def _grid_loop(m, margin=0.02):
+    """interior_grid's points, one at a time."""
+    pts = []
+    for s in np.linspace(-1.0 + margin, 1.0 - margin, m):
+        zmax = math.sqrt(1.0 - s * s)
+        for z in np.linspace(margin, zmax - margin, m):
+            if z > 0.0 and s * s + z * z < (1.0 - margin) ** 2:
+                pts.append((float(s), float(z)))
+    return pts
+
+
+class TestComparisonColumns:
+    @pytest.mark.parametrize("m", [3, 4, 5, 10, 20, 60, 101])
+    def test_interior_grid_matches_point_loop(self, m):
+        assert repr([tuple(r) for r in interior_grid(m).tolist()]) == repr(
+            _grid_loop(m))
+
+    @pytest.mark.parametrize("p_val", P_GRID)
+    @pytest.mark.parametrize("kind", ("concave", "convex"))
+    def test_closed_column_matches_scalar_forms(self, p_val, kind):
+        p = classify(p_val)
+        oc = EnvelopeOracle(p, kind, 64)
+        s, z, closed, ov = oracle_comparison(oc, 20)
+        scalar = upper_envelope if kind == "concave" else lower_envelope
+        assert repr(closed.tolist()) == repr(
+            [scalar(p, ConeTriple(1.0 + a, 1.0 - a, b))
+             for a, b in zip(s.tolist(), z.tolist())])
+        assert np.array_equal(ov, oc.evaluate(s, z))
 
 
 class TestIndependence:
