@@ -132,6 +132,8 @@ def torsion_sign_changes(p, grid=512):
     """
     if p.p in (1.0, 2.0):
         raise ValueError("torsion vanishes identically at p in {1, 2}")
+    if grid < 3:  # no smaller grid has a point whose stencil fits in (-1, 1)
+        raise ValueError("grid must be at least 3, got %d" % grid)
     h12, h3 = 1e-5, 1e-3
     ss = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, grid)
     inside = np.abs(ss) + 3 * h3 < 1.0

@@ -128,14 +128,17 @@ def cmd_table(args):
         raise ValueError("grid must be at least 2")
     ps = [classify(float(v)) for v in args.p_list.split(",")]
     rows = ["p,s,z,F,G,upper,lower,carlen"]
-    line = ",".join(["%.17g"] * 8)  # the bytes fmt gives
     s = np.repeat(np.linspace(-1.0, 1.0, args.grid), args.grid)
     zmax = np.sqrt(np.maximum(0.0, 1.0 - s * s))
     z = np.tile(np.linspace(0.0, 1.0, args.grid), args.grid) * zmax
+    # each float is formatted once, in the bytes fmt gives: s and z for
+    # every exponent, F and G again as the upper and lower columns
+    sz = ["%.17g,%.17g" % row for row in zip(s.tolist(), z.tolist())]
     for p in ps:
-        cols = envelope_arrays(p, 1.0 + s, 1.0 - s, z)
-        rows += [line % (p.p, *row) for row in zip(
-            s.tolist(), z.tolist(), *(c.tolist() for c in cols))]
+        F, G, _, _, C = envelope_arrays(p, 1.0 + s, 1.0 - s, z)
+        F, G, C = (list(map("%.17g".__mod__, c.tolist())) for c in (F, G, C))
+        upper, lower = (F, G) if p.f_is_concave else (G, F)
+        rows += map(",".join, zip([fmt(p.p)] * len(sz), sz, F, G, upper, lower, C))
     return _write_csv(rows, args.out)
 
 

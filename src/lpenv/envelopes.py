@@ -160,12 +160,14 @@ def carlen_bound(p, t):
 
 def envelope_arrays(p, x, y, z):
     """eval_F, eval_G, upper_envelope, lower_envelope and carlen_bound at each
-    ConeTriple(x[i], y[i], z[i]), as float arrays. Rows off the open cone go
-    through ConeTriple (rejected or clamped); x + y = 0 and z = 0 are masked."""
+    ConeTriple(x[i], y[i], z[i]), as float arrays. Rows off the open cone, z = 0
+    aside, go through ConeTriple (rejected or clamped); x + y = 0 and z = 0 are masked."""
     x, y, z = (np.array(a, dtype=float) for a in (x, y, z))
     with np.errstate(over="ignore", invalid="ignore"):
         cs = np.minimum(np.sqrt(x * y), np.sqrt(x) * np.sqrt(y))
-        inside = np.isfinite(x + y) & (z >= 0.0) & (z < cs)
+        # cs is NaN where x or y is negative, so those rows still raise
+        inside = np.isfinite(x + y) & (
+            (z >= 0.0) & (z < cs) | (z == 0.0) & (cs >= 0.0))
         for i in np.flatnonzero(~inside).tolist():
             z[i] = ConeTriple(x[i], y[i], z[i]).z
         s = x + y

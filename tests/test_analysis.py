@@ -146,6 +146,17 @@ class TestTorsion:
         with pytest.raises(ValueError):
             analysis.torsion_sign_changes(classify(2.0))
 
+    @pytest.mark.parametrize("grid", [0, 1, 2])
+    def test_rejects_grid_below_3(self, grid):
+        with pytest.raises(ValueError) as exc:
+            analysis.torsion_sign_changes(classify(3.0), grid=grid)
+        assert str(exc.value) == "grid must be at least 3, got %d" % grid
+
+    def test_grid_3_reports(self):
+        rep = analysis.torsion_sign_changes(classify(3.0), grid=3)
+        assert isinstance(rep, analysis.TorsionReport)
+        assert rep.blowups == [-0.999, 0.999]
+
     def test_blowups_reported(self):
         rep = analysis.torsion_sign_changes(classify(3.0), grid=128)
         # stencil leaves [-1, 1] near the endpoints; those points are listed

@@ -273,6 +273,36 @@ class TestTable:
         assert code == 0
         assert out == ref_table(p_list, grid)
 
+    def test_repeated_exponent(self, capsys):
+        code, out, _ = run(capsys, "table", "--p-list=3,3", "--grid", "7")
+        assert code == 0
+        assert out == ref_table("3,3", 7)
+
+    @pytest.mark.parametrize("grid", [2, 3])
+    def test_mixed_regimes_edge_grids(self, capsys, grid):
+        """Every row of grids 2 and 3 is an edge case: x = 0, y = 0, z = 0
+        or z on the Cauchy-Schwarz bound."""
+        p_list = "3,-1,1.5,0.5,-0.02,0.02,50,-50,1,2"
+        code, out, _ = run(capsys, "table", "--p-list=" + p_list,
+                           "--grid", str(grid))
+        assert code == 0
+        assert out == ref_table(p_list, grid)
+
+    def test_out_file_bytes_equal_stdout(self, tmp_path, capsys):
+        args = ("table", "--p-list=-1,1.5,3", "--grid", "9")
+        _, out, _ = run(capsys, *args)
+        code, printed, _ = run(capsys, *args, "--out", str(tmp_path / "t.csv"))
+        assert code == 0 and printed == ""
+        assert (tmp_path / "t.csv").read_bytes() == out.encode()
+
+    def test_overflow_with_out_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        code, out, _ = run(capsys, "table", "--p-list=-0.001", "--grid", "7",
+                           "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert not path.exists()
+
     def test_overflow_exit2(self, capsys):
         code, out, err = run(capsys, "table", "--p-list=-0.001", "--grid", "7")
         assert code == 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from highprec import ref_F, ref_G, ref_carlen, ref_two_point
+from lpenv import envelopes
 from lpenv.envelopes import (BoundReport, ConeTriple, carlen_bound, classify,
                              envelope_arrays, eval_F, eval_G, lower_envelope,
                              scalar_three_term, sum_bound, two_point,
@@ -256,6 +257,35 @@ class TestEnvelopeArrays:
         rows = [(1.0, 2.0, 0.5), row, (1.0, 1.0, 2.0)]
         with pytest.raises(ValueError) as got:
             envelope_arrays(classify(3.0), *(np.array(c) for c in zip(*rows)))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("p_val", [-2.0, -0.5, 0.5, 1.5, 3.0])
+    def test_zero_z_edge_rows_skip_cone_triple(self, p_val, monkeypatch):
+        """z = 0 (or -0.0) rows at x = 0, y = 0 or both match the scalar
+        functions by repr without a ConeTriple of their own."""
+        rows = [(x, y, z) for x, y in ((0.0, 2.0), (3.0, 0.0), (0.0, 0.0))
+                for z in (0.0, -0.0)]
+        p = classify(p_val)
+        want = [repr([fn(p, ConeTriple(*row)) for row in rows]) for fn in (
+            eval_F, eval_G, upper_envelope, lower_envelope, carlen_bound)]
+        built = []
+        monkeypatch.setattr(envelopes, "ConeTriple",
+                            lambda *row: built.append(row) or ConeTriple(*row))
+        got = envelope_arrays(p, *(np.array(c) for c in zip(*rows)))
+        assert [repr(col.tolist()) for col in got] == want
+        assert built == []
+
+    @pytest.mark.parametrize("row", [
+        (-1.0, 2.0, 0.0), (2.0, -1e-300, 0.0), (-1.0, 0.0, -0.0),
+        (0.0, -2.0, -0.0), (math.inf, 0.0, 0.0), (0.0, math.inf, -0.0),
+    ])
+    def test_zero_z_invalid_rows_still_raise(self, row):
+        """A negative x or y, or x + y = inf, still reaches ConeTriple's
+        ValueError when z = 0."""
+        with pytest.raises(ValueError) as want:
+            ConeTriple(*row)
+        with pytest.raises(ValueError) as got:
+            envelope_arrays(classify(3.0), *(np.array([v]) for v in row))
         assert str(got.value) == str(want.value)
 
     def test_overflow_names_the_power(self):
