@@ -146,12 +146,11 @@ def cmd_oracle_compare(args):
     if args.grid < 3:  # interior_grid holds no point below 3
         raise ValueError("--grid must be at least 3, got %d" % args.grid)
     p = classify(args.p)
-    rows = ["p,s,z,closed_form,oracle,abs_err,N"]
-    cols = suites.oracle_comparison(EnvelopeOracle(p, args.kind, args.n), args.grid)
-    for s, z, cf, ov in zip(*(c.tolist() for c in cols)):
-        rows.append(",".join(
-            fmt(v) for v in (p.p, s, z, cf, ov, abs(ov - cf))) + ",%d" % args.n)
-    return _write_csv(rows, args.out)
+    s, z, cf, ov = suites.oracle_comparison(EnvelopeOracle(p, args.kind, args.n), args.grid)
+    # as in cmd_table: each float formatted once, p and N once per call
+    texts = (map("%.17g".__mod__, c.tolist()) for c in (s, z, cf, ov, np.abs(ov - cf)))
+    rows = map(",".join, zip([fmt(p.p)] * len(s), *texts, ["%d" % args.n] * len(s)))
+    return _write_csv(["p,s,z,closed_form,oracle,abs_err,N", *rows], args.out)
 
 
 def build_parser():

@@ -161,12 +161,13 @@ def sum_norm(f, g, p):
 
 def pair_norms(lengths, breakpoints, values, p):
     """(x, y, z, |f+g|_p^p) as float arrays over the pairs (0, 1), (2, 3), ...
-    of an even, nonzero count of functions in sampling._draws' columns: the
-    floats of triple_of_pair and sum_norm, summed in _integral's order, but a
-    power that overflows raises OverflowError even after a +inf term."""
+    of an even, nonzero count of functions in sampling._draws' columns (its
+    arrays, taken without a copy, or lists): the floats of triple_of_pair and
+    sum_norm, summed in _integral's order, but a power that overflows raises
+    OverflowError even after a +inf term."""
     if p == 0 or not len(lengths) or len(lengths) % 2:
         raise ValueError("p must be nonzero and the function count even, > 0")
-    n, bps, vals = (np.array(a) for a in (lengths, breakpoints, values))
+    n, bps, vals = (np.asarray(a) for a in (lengths, breakpoints, values))
     h, fid = len(n) // 2, np.repeat(np.arange(len(n)), n)  # value -> function
     ends = np.cumsum(n + 1) - 1  # the index of each function's 1.0
     left, right = np.delete(bps, ends), np.delete(bps, ends - n)

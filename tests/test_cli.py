@@ -12,6 +12,7 @@ from lpenv import suites
 from lpenv.cli import fmt, main
 from lpenv.envelopes import (ConeTriple, carlen_bound, classify, eval_F,
                              eval_G, lower_envelope, upper_envelope)
+from lpenv.oracle import EnvelopeOracle
 from lpenv.stepfun import StepFunction
 
 
@@ -347,7 +348,29 @@ class TestTable:
         assert out1 == out2
 
 
+def ref_oracle_compare(p_val, kind, n, grid):
+    """The oracle-compare CSV row by row: each row's floats through fmt."""
+    p = classify(p_val)
+    cols = suites.oracle_comparison(EnvelopeOracle(p, kind, n), grid)
+    rows = ["p,s,z,closed_form,oracle,abs_err,N"]
+    for s, z, cf, ov in zip(*(c.tolist() for c in cols)):
+        rows.append(",".join(
+            fmt(v) for v in (p.p, s, z, cf, ov, abs(ov - cf))) + ",%d" % n)
+    return "\n".join(rows) + "\n"
+
+
 class TestOracleCompare:
+    @pytest.mark.parametrize("p, kind, n, grid", [
+        ("3", "concave", 256, 20), ("-1", "convex", 256, 20),
+        ("1.5", "concave", 256, 20), ("3", "concave", 64, 3),
+        ("-2", "concave", 256, 13),
+    ])
+    def test_matches_row_by_row(self, capsys, p, kind, n, grid):
+        code, out, _ = run(capsys, "oracle-compare", "-p", p, "--kind", kind,
+                           "--n", str(n), "--grid", str(grid))
+        assert code == 0
+        assert out == ref_oracle_compare(float(p), kind, n, grid)
+
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "oracle-compare", "-p", "3", "--n", "64",
                            "--grid", "6")

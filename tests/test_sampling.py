@@ -26,7 +26,7 @@ def reference_pair_sweep(seed, samples):
                 m = sum_and_report(f, g, p).margins
                 yield min(m["upper"], m["lower"])
 
-    return _tally(margins())
+    return _tally(list(margins()))
 
 
 def reference_sum_sweep(seed, samples):
@@ -55,7 +55,7 @@ def reference_sum_sweep(seed, samples):
                 bound = sum_bound(moments, overlaps, p)
                 yield sign * (bound - actual) / max(1.0, abs(actual))
 
-    return _tally(margins())
+    return _tally(list(margins()))
 
 
 class TestRandomPairs:
@@ -115,13 +115,18 @@ def rejecting_word():
     return w
 
 
+def as_lists(arrays):
+    """_draws' arrays as lists, compared with == rather than a tolerance."""
+    return tuple(a.tolist() for a in arrays)
+
+
 def assert_same_as_draw(make, p, counts):
     """_draws(rng, p, c) for each c of ``counts`` in turn holds the columns
     of what c _draw(twin, p) calls return, and leaves rng's state where
     they do."""
     rng, twin = make(), make()
     for count in counts:
-        assert _draws(rng, p, count) == columns(
+        assert as_lists(_draws(rng, p, count)) == columns(
             [_draw(twin, p) for _ in range(count)])
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -161,7 +166,7 @@ class TestDraws:
         fresh word and the call ends with the uint32 cache full."""
         w = rejecting_word()
         rng, twin = planted(w), planted(w)
-        [n], breakpoints, values = _draws(rng, p, 1)
+        [n], breakpoints, values = as_lists(_draws(rng, p, 1))
         assert (breakpoints, values) == _draw(twin, p)
         assert n == 3
         assert len(values) == 3 and atom in values
@@ -194,7 +199,7 @@ class TestDraws:
 
         count = 2 * sampling._CHUNK + 3
         twin = substreams(9, 1)[0]
-        assert _draws(Rng, 2.0, count) == columns(
+        assert as_lists(_draws(Rng, 2.0, count)) == columns(
             [_draw(twin, 2.0) for _ in range(count)])
         assert Rng.bit_generator.state == twin.bit_generator.state
         assert max(Rng.bit_generator.sizes) == sampling._CHUNK * sampling._WORDS
@@ -206,8 +211,97 @@ class TestDraws:
         monkeypatch.setattr(sampling, "_WORDS", 7)
         w = rejecting_word()
         rng, twin = planted(w), planted(w)
-        assert _draws(rng, 3.0, 1) == columns([_draw(twin, 3.0)])
+        assert as_lists(_draws(rng, 3.0, 1)) == columns([_draw(twin, 3.0)])
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class Stream:
+    """A stand-in bit generator that hands out ``words`` as raw words (zeros
+    after them), with PCG64's state keys for the position and the 32-bit
+    cache; advance steps the position modulo 2**128 and clears the cache."""
+
+    def __init__(self, words):
+        self.words, self.state = words, {"pos": 0, "has_uint32": 0,
+                                         "uinteger": 0}
+
+    def advance(self, delta):
+        self.state = {"pos": (self.state["pos"] + delta) % 2 ** 128,
+                      "has_uint32": 0, "uinteger": 0}
+        return self
+
+    def random_raw(self, size):
+        pos = self.state["pos"]
+        self.advance(size)
+        return np.array((self.words + [0] * (pos + size))[pos:pos + size],
+                        dtype=np.uint64)
+
+
+def word(low=0, high=0):
+    return high << 32 | low
+
+
+def double_word(x):
+    """The word that random() reads as x, a multiple of 2**-53 in [0, 1)."""
+    return int(x * 2 ** 53) << 11
+
+
+class TestExactWalk:
+    @pytest.mark.parametrize("count", [1, 2, 500, 2 * sampling._CHUNK + 3])
+    @pytest.mark.parametrize("make", [lambda: substreams(5, 1)[0],
+                                      lambda: planted(987654321, 1, 0xDEADBEEF)],
+                             ids=["fresh", "cached-uint32"])
+    def test_forced_rewalk(self, monkeypatch, count, make):
+        """Every fast walk flagged as if it held a repeated breakpoint: both
+        samplers rewind and walk again exactly, and give _draw's functions
+        and state."""
+        sample, passes = sampling._sample, []
+
+        def flag_fast_walk(rng, p, count, assemble):
+            def flagged(*walk):
+                passes.append(len(passes) % 2)
+                if passes[-1] == 0:
+                    raise ValueError("flagged")
+                return assemble(*walk)
+            return sample(rng, p, count, flagged)
+
+        monkeypatch.setattr(sampling, "_sample", flag_fast_walk)
+        for p in (-2.0, 3.0):
+            assert_same_as_draw(make, p, [count])
+            rng, twin = make(), make()
+            fs = random_step_functions(rng, p, min(count, 40))
+            assert [(list(f.breakpoints), list(f.values)) for f in fs] == [
+                _draw(twin, p) for _ in fs]
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert passes == [0, 1] * 4
+
+    def test_repeated_breakpoint(self):
+        """Three atoms with both breakpoints 0.5: the fast walk takes three
+        values, assembly finds the repeat, and the exact walk takes two,
+        its atom test, then a one-atom function from the cached high half."""
+        words = [word(2 << 29), double_word(0.5), double_word(0.5),
+                 double_word(0.25), double_word(0.75), double_word(0.5),
+                 double_word(0.125), double_word(0.625)]
+        value = np.exp(-3.0 + 6.0 * np.array([0.25, 0.75, 0.125])).tolist()
+        want = ([2, 1], [0.0, 0.5, 1.0, 0.0, 1.0], value)
+        for draw in (lambda rng: as_lists(_draws(rng, 1.0, 2)),
+                     lambda rng: columns([(list(f.breakpoints), list(f.values))
+                                          for f in random_step_functions(rng, 1.0, 2)])):
+            rng = type("Rng", (), {"bit_generator": Stream(words)})
+            assert draw(rng) == want
+            assert rng.bit_generator.state == {"pos": 8, "has_uint32": 0,
+                                               "uinteger": 0}
+
+    def test_repeated_zero_breakpoint(self):
+        """0.0 twice among the breakpoints is a zero breakpoint, raised by
+        the exact walk with the position just past the breakpoints and the
+        atom-count word's high half cached."""
+        words = [word(3 << 29, 7), 0, 0, double_word(0.5)] + [double_word(0.5)] * 8
+        for draw in (_draws, random_step_functions):
+            rng = type("Rng", (), {"bit_generator": Stream(words)})
+            with pytest.raises(ValueError, match="strictly increasing"):
+                draw(rng, 1.0, 1)
+            assert rng.bit_generator.state == {"pos": 4, "has_uint32": 1,
+                                               "uinteger": 7}
 
 
 class TestTally:
@@ -230,6 +324,19 @@ class TestTally:
         violations, worst = _tally(margins)
         assert violations == 1 + sum(m < -1e-9 for m in margins)
         assert np.isnan(worst)
+
+    def test_signed_zero_tie_goes_to_first(self):
+        assert repr(_tally([0.0, -0.0, 1.0])) == "(0, 0.0)"
+        assert repr(_tally(np.array([1.0, -0.0, 0.0]))) == "(0, -0.0)"
+
+    def test_several_nans(self):
+        nan = float("nan")
+        violations, worst = _tally(np.array([1.0, nan, -3.0, nan, -1e-16]))
+        assert violations == 3 and np.isnan(worst)
+
+    def test_array_as_list(self):
+        margins = [0.5, -1e-16, -2e-9, 0.0, -3.0, -3.0]
+        assert repr(_tally(np.array(margins))) == repr(_tally(margins))
 
 
 class TestPairSweep:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from lpenv import stepfun
 from lpenv.envelopes import ConeTriple, classify
 from lpenv.extremal import extremal_F, extremal_G
 from lpenv.powers import INF
-from lpenv.sampling import random_pair, substreams
+from lpenv.sampling import _draws, random_pair, substreams
 from lpenv.stepfun import (StepFunction, _cone_point, overlap_norm,
                            pair_norms, pth_power_norm, refine, sum_and_report,
                            sum_norm, triple_of_pair)
@@ -263,6 +264,16 @@ class TestPairNorms:
     def test_random_pairs(self, p):
         rng = substreams(31, 1)[0]
         assert_kernel_matches([random_pair(rng, p) for _ in range(200)], p)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_draws_arrays_as_lists(self, p):
+        """_draws' arrays, which pair_norms takes without a copy, give the
+        floats of the same pairs drawn by random_pair in as_columns' lists."""
+        rng, twin = substreams(37, 1)[0], substreams(37, 1)[0]
+        got = pair_norms(*_draws(rng, p, 400), p)
+        want = pair_norms(*as_columns([random_pair(twin, p) for _ in range(200)]), p)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 1.5, 3.0])
     def test_hand_built(self, p):
