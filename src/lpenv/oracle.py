@@ -16,9 +16,9 @@ from .powers import power_sum
 
 
 def ConvexHull(points):
-    """qhull's hull; scipy.spatial loads at the first build, not on import."""
+    """qhull's hull with furthest-facet partitioning (Qf); scipy loads at the first build."""
     from scipy.spatial import ConvexHull as qhull
-    return qhull(points)
+    return qhull(points, qhull_options="Qf")
 
 
 def boundary_value(p, s):
@@ -72,29 +72,35 @@ class EnvelopeOracle:
         curve = BoundaryCurve(p, n)
         self.curve = curve
         self.kind = kind
-        self._planes = self._facet_planes(
-            np.column_stack((curve.nodes, curve.values)))
+        self._planes = self._facet_planes(curve)
 
     @staticmethod
-    def _facet_planes(pts):
-        """{kind: (a, b, c)}, the planes v = a*s + b*z + c of that kind's
-        facets, each column a contiguous array."""
-        # Flat data (p = 1, 2) breaks qhull; fall back to a least-squares
-        # plane, the envelope of both kinds, when the points are exactly
-        # coplanar.
-        coeff, res, _, _ = np.linalg.lstsq(
-            np.column_stack((pts[:, :2], np.ones(len(pts)))), pts[:, 2], rcond=None
-        )
+    def _facet_planes(curve):
+        """{kind: (a, b, c)}, the distinct planes v = a*s + b*z + c of that
+        kind's facets, each column a contiguous array."""
+        pts = np.column_stack((curve.nodes, curve.values))
+        # Flat data (p = 1, 2) breaks qhull: exactly coplanar points take
+        # their least-squares plane, the envelope of both kinds.
+        coeff = np.linalg.lstsq(np.column_stack((pts[:, :2], np.ones(len(pts)))), pts[:, 2],
+                                rcond=None)[0]
         fitted = pts[:, :2] @ coeff[:2] + coeff[2]
         if np.max(np.abs(fitted - pts[:, 2])) < 1e-9 * max(1.0, np.max(np.abs(pts[:, 2]))):
-            plane = tuple(np.array([c]) for c in coeff)
-            return {"concave": plane, "convex": plane}
-        eqs = ConvexHull(pts).equations  # a*s + b*z + c*v + d <= 0 inside
+            return dict.fromkeys(_OPPOSITE, tuple(np.array([c]) for c in coeff))
+        from scipy.spatial import QhullError  # loaded with qhull itself
+        try:
+            eqs = ConvexHull(pts).equations  # a*s + b*z + c*v + d <= 0 inside
+        except QhullError:  # the lifted nodes are flat to qhull's precision
+            eqs = np.empty((0, 4))
         planes = {}
         for kind, sign in (("concave", 1.0), ("convex", -1.0)):
             keep = eqs[sign * eqs[:, 2] > 1e-12]
-            planes[kind] = (-keep[:, 0] / keep[:, 2], -keep[:, 1] / keep[:, 2],
-                            -keep[:, 3] / keep[:, 2])
+            if not len(keep):
+                raise ValueError("qhull resolves no %s facet at p = %r, n = %d"
+                                 % (kind, curve.p.p, curve.n))
+            abc = -keep[:, [0, 1, 3]] / keep[:, 2:3]
+            bits = abc.view(np.int64)  # a merged facet's plane repeats in a run
+            first = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]  # -0.0 != 0.0
+            planes[kind] = tuple(np.ascontiguousarray(abc[first].T))
         return planes
 
     def opposite(self):

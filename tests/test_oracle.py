@@ -17,12 +17,17 @@ def _planes(oc):
     return oc._planes[oc.kind]
 
 
-def _reference(oc, ss, zs):
+def _scan(kind, planes, ss, zs):
     """The plane scan one point at a time: min (concave) or max (convex)
-    over the facet planes of a*s + b*z + c."""
-    a, b, c = _planes(oc)
-    pick = np.min if oc.kind == "concave" else np.max
+    over the planes a*s + b*z + c."""
+    a, b, c = planes
+    pick = np.min if kind == "concave" else np.max
     return np.array([pick(a * s + b * z + c) for s, z in zip(ss, zs)])
+
+
+def _reference(oc, ss, zs):
+    """The scan over the oracle's own facet planes."""
+    return _scan(oc.kind, _planes(oc), ss, zs)
 
 
 class TestBoundaryCurve:
@@ -184,6 +189,91 @@ class TestBatchedQuery:
                 assert np.array_equal(mine, theirs)
         # p = 1 and 2 are coplanar and never reach qhull
         assert len(builds) == (0 if p.p in (1.0, 2.0) else 4)
+
+
+def _hull_planes(oc, hull):
+    """(a, b, c) of every facet of ``hull`` of the oracle's kind, unfiltered
+    and in qhull's order: the rows the oracle keeps one of each run of."""
+    eqs = hull(np.column_stack((oc.curve.nodes, oc.curve.values))).equations
+    sign = 1.0 if oc.kind == "concave" else -1.0
+    keep = eqs[sign * eqs[:, 2] > 1e-12]
+    return -keep[:, 0] / keep[:, 2], -keep[:, 1] / keep[:, 2], -keep[:, 3] / keep[:, 2]
+
+
+# p = 1 and 2 take the coplanar plane and never reach qhull
+_HULL_P = tuple(p for p in P_GRID if p not in (1.0, 2.0))
+
+
+class TestFurthestHull:
+    """The hull is built with qhull's Qf; each facet plane is kept once."""
+
+    @staticmethod
+    def _default_build_gap(p_val, kind, n, m):
+        from scipy.spatial import ConvexHull
+        oc = EnvelopeOracle(classify(p_val), kind, n)
+        ss, zs = interior_grid(m).T
+        ref = _scan(kind, _hull_planes(oc, ConvexHull), ss, zs)
+        return np.max(np.abs(oc.evaluate(ss, zs) - ref) / np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("p_val", _HULL_P)
+    @pytest.mark.parametrize("kind", ("concave", "convex"))
+    @pytest.mark.parametrize("n", (128, 512, 2048))
+    def test_within_1e12_of_default_build(self, p_val, kind, n):
+        """Every value within 1e-12 max(1, |v|) of scipy's default-option hull."""
+        assert self._default_build_gap(p_val, kind, n, 20) <= 1e-12
+
+    @pytest.mark.parametrize("p_val, kind", [
+        (3.0, "concave"), (-1.0, "convex"), (1.5, "concave")])
+    def test_within_1e12_of_default_build_fine(self, p_val, kind):
+        assert self._default_build_gap(p_val, kind, 8192, 60) <= 1e-12
+
+    @pytest.mark.parametrize("p_val", _HULL_P)
+    @pytest.mark.parametrize("kind", ("concave", "convex"))
+    @pytest.mark.parametrize("n", (128, 512))
+    def test_equals_scan_over_every_facet(self, p_val, kind, n):
+        """Dropping repeated planes leaves every value's bits unchanged."""
+        oc = EnvelopeOracle(classify(p_val), kind, n)
+        ss, zs = np.concatenate((interior_grid(20), oc.curve.nodes)).T
+        every = _hull_planes(oc, oracle.ConvexHull)
+        full = _scan(kind, every, ss, zs)
+        assert np.array_equal(oc.evaluate(ss, zs).view(np.uint64), full.view(np.uint64))
+        assert len(_planes(oc)[0]) <= len(every[0])
+
+    @pytest.mark.parametrize("p_val, kind", [(3.0, "concave"), (-1.0, "convex")])
+    def test_strip_planes_kept_once(self, p_val, kind):
+        """The kind that is F_p is made of two-triangle strips: about n/2
+        distinct planes of n facets."""
+        oc = EnvelopeOracle(classify(p_val), kind, 512)
+        assert len(_planes(oc)[0]) < 0.6 * 512
+
+    def test_runs_compared_by_bits(self, monkeypatch):
+        """Only consecutive rows with equal bits collapse: a repeat after
+        another plane stays, and so do -0.0 and 0.0."""
+        eqs = np.array([[1.0, 2.0, 1.0, 3.0], [1.0, 2.0, 1.0, 3.0],
+                        [0.0, 1.0, 1.0, 1.0], [-0.0, 1.0, 1.0, 1.0],
+                        [1.0, 2.0, 1.0, 3.0], [1.0, 0.0, -1.0, 0.0]])
+
+        class Hull:
+            equations = eqs
+
+        monkeypatch.setattr(oracle, "ConvexHull", lambda pts: Hull)
+        a, b, c = EnvelopeOracle(classify(3), "concave", 16)._planes["concave"]
+        assert a.tolist() == [-1.0, -0.0, 0.0, -1.0]
+        assert np.signbit(a).tolist() == [True, True, False, True]
+        assert (b.tolist(), c.tolist()) == ([-2.0, -1.0, -1.0, -2.0], [-3.0, -1.0, -1.0, -3.0])
+        assert all(col.flags.c_contiguous for col in (a, b, c))
+
+    @pytest.mark.parametrize("p_val, n", [(50.0, 64), (50.0, 2048), (45.0, 512)])
+    def test_qhull_failure_is_value_error(self, p_val, n):
+        """qhull's flat-simplex error becomes a ValueError naming p and n."""
+        with pytest.raises(ValueError, match=r"p = %r, n = %d" % (p_val, n)):
+            EnvelopeOracle(classify(p_val), "concave", n)
+
+    def test_no_facet_of_a_kind_is_value_error(self):
+        """At p = 40 qhull builds, but no facet's normal clears the 1e-12
+        filter, so neither kind has a plane to take a min or max over."""
+        with pytest.raises(ValueError, match=r"no concave facet at p = 40.0, n = 64"):
+            EnvelopeOracle(classify(40), "convex", 64)
 
 
 def _grid_loop(m, margin=0.02):
