@@ -132,6 +132,8 @@ def torsion_sign_changes(p, grid=512):
     """
     if p.p in (1.0, 2.0):
         raise ValueError("torsion vanishes identically at p in {1, 2}")
+    if abs(p.p) < 0.3:  # the steps below do not resolve phi_p there
+        raise ValueError("torsion needs |p| >= 0.3, got p = %r" % p.p)
     if grid < 3:  # no smaller grid has a point whose stencil fits in (-1, 1)
         raise ValueError("grid must be at least 3, got %d" % grid)
     h12, h3 = 1e-5, 1e-3

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .powers import fan_power, power_sum, xpow
+from .powers import INF, fan_power, power_sum, xpow
 
 P_MIN = 1e-3
 
@@ -53,7 +53,7 @@ def classify(p):
     return Exponent(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConeTriple:
     """A point of the cone Omega.
 
@@ -66,13 +66,11 @@ class ConeTriple:
     y: float
     z: float
 
-    def __post_init__(self):
-        x, y, z = float(self.x), float(self.y), float(self.z)
-        for name, val in (("x", x), ("y", y), ("z", z)):
-            if not math.isfinite(val) or val < 0:
-                raise ValueError(
-                    "%s must be a finite nonnegative real, got %r" % (name, val)
-                )
+    def __init__(self, x, y, z):
+        x, y, z = float(x), float(y), float(z)
+        if not (0.0 <= x < INF and 0.0 <= y < INF and 0.0 <= z < INF):  # NaN fails too
+            name, val = next(nv for nv in zip("xyz", (x, y, z)) if not 0.0 <= nv[1] < INF)
+            raise ValueError("%s must be a finite nonnegative real, got %r" % (name, val))
         xy = x * y
         # sqrt(x)*sqrt(y) only where x*y overflowed or left the normal
         # range, so every other clamp keeps the value sqrt(x*y)

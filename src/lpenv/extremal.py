@@ -12,14 +12,6 @@ from .powers import xpow
 from .stepfun import StepFunction
 
 
-def _two_block(c, left, right):
-    if c <= 0.0:
-        return StepFunction.constant(right)
-    if c >= 1.0:
-        return StepFunction.constant(left)
-    return StepFunction((0.0, c, 1.0), (left, right))
-
-
 def extremal_F(p, t):
     """Swap pair (a,b) on [0,c], (b,a) on [c,1] attaining F_p at t.
 
@@ -41,11 +33,10 @@ def extremal_F(p, t):
     inv = 1.0 / p.p
     a = xpow(big, inv)
     b = xpow(small, inv)
-    return _two_block(c, a, b), _two_block(c, b, a)
-
-
-def _three_block(v0, v1, v2):
-    return StepFunction((0.0, 0.5, 0.75, 1.0), (v0, v1, v2))
+    if 0.0 < c < 1.0:
+        return StepFunction((0.0, c, 1.0), (a, b)), StepFunction((0.0, c, 1.0), (b, a))
+    fv, gv = (b, a) if c <= 0.0 else (a, b)  # c = 0 or 1: each function is one block
+    return StepFunction.constant(fv), StepFunction.constant(gv)
 
 
 def extremal_G(p, t):
@@ -68,13 +59,12 @@ def extremal_G(p, t):
         a = xpow(2.0 * z, inv)
         b = xpow(4.0 * (x - z), inv)
         c = xpow(4.0 * (y - z), inv)
-        return _three_block(a, b, off), _three_block(a, off, c)
-    if y <= x:
-        a = xpow(2.0 * z * z / y, inv)
-        b = xpow(2.0 * y, inv)
-        c = xpow(max(0.0, 2.0 * x - 2.0 * z * z / y), inv)
-        f = StepFunction((0.0, 0.5, 1.0), (a, c))
-        g = StepFunction((0.0, 0.5, 1.0), (b, off))
-        return f, g
-    g, f = extremal_G(p, type(t)(y, x, z))
-    return f, g
+        bp = (0.0, 0.5, 0.75, 1.0)
+        return StepFunction(bp, (a, b, off)), StepFunction(bp, (a, off, c))
+    lo, hi = (y, x) if y <= x else (x, y)
+    a = xpow(2.0 * z * z / lo, inv)
+    b = xpow(2.0 * lo, inv)
+    c = xpow(max(0.0, 2.0 * hi - 2.0 * z * z / lo), inv)
+    wide = StepFunction((0.0, 0.5, 1.0), (a, c))  # the function of the larger norm
+    block = StepFunction((0.0, 0.5, 1.0), (b, off))  # the smaller's single block
+    return (wide, block) if y <= x else (block, wide)

@@ -69,6 +69,8 @@ class EnvelopeOracle:
     def __init__(self, p, kind, n=512):
         if kind not in _OPPOSITE:
             raise ValueError("kind must be 'concave' or 'convex'")
+        if p.p > 26.5:  # qhull's precision follows 2^p: above it, error stops falling in n
+            raise ValueError("the oracle converges only for p <= 26.5, got p = %r" % p.p)
         curve = BoundaryCurve(p, n)
         self.curve = curve
         self.kind = kind

@@ -30,12 +30,13 @@ def _sample(rng, p, count, assemble):
     entry = (bg := rng.bit_generator).state
     for exact in (False, True):
         has32, word = entry["has_uint32"], entry["uinteger"] << 32  # the cache: word >> 32
-        raw, ws, vs, ns, ms, atoms, j, m = [np.empty(0, np.uint64)], [], [], [], [], [], 0, 0
+        raw, ws, vs, ns, ms, atoms = [np.empty(0, np.uint64)], [], [], [], [], []
+        base = j = m = 0  # ws[j] is word base + j of the call
         try:
             while len(ns) < count or m:  # m > 0: an atom's index is due
                 if j + _WORDS > len(ws):  # read the next chunk
                     raw.append(bg.random_raw(min(count - len(ns) + (m > 0), _CHUNK) * _WORDS))
-                    ws += raw[-1].tolist()
+                    ws, base, j = ws[j:] + raw[-1].tolist(), base + j, 0  # unread words only
                 r, has32 = (word >> 32, 0) if has32 else ((word := ws[j]) & 0xFFFFFFFF, 1)
                 j += has32  # Lemire's 32-bit draws: a word's low half, then its high half
                 if m:  # Lemire rejects a low word below 2^32 mod m
@@ -45,7 +46,7 @@ def _sample(rng, p, count, assemble):
                         m = 0
                     continue
                 n = m = 1 + (r >> 29)  # Lemire at range 8: the top three bits
-                vs.append(j := j + n - 1)  # past the breakpoints: the first value word
+                vs.append(base + (j := j + n - 1))  # past the breakpoints: the first value word
                 if exact:  # m - 1 distinct breakpoints
                     if 0 in (bits := {w >> 11 for w in ws[j - n + 1:j]}):
                         raise ValueError("breakpoints must be strictly increasing")

@@ -25,11 +25,11 @@ class StepFunction:
         bp, vals = tuple(map(float, breakpoints)), tuple(map(float, values))
         if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must run from 0 to 1")
-        if not all(b1 < b2 for b1, b2 in zip(bp, bp[1:])):  # NaN fails too
+        if not all(map(float.__lt__, bp, bp[1:])):  # NaN fails too
             raise ValueError("breakpoints must be strictly increasing")
         if len(vals) != len(bp) - 1:
             raise ValueError("need exactly one value per interval")
-        if any(math.isnan(v) or v < 0 for v in vals):
+        if not all(map((0.0).__le__, vals)):  # NaN fails, -0.0 passes
             raise ValueError("values must be nonnegative (or +inf)")
         self.breakpoints = bp
         self.values = vals
@@ -104,15 +104,20 @@ def refine(f, g):
 
 def _integral(breakpoints, values, expo):
     """Sum of (b - a) * v^expo over the intervals [a, b] and their values
-    v; +inf as soon as one term is."""
+    v; +inf as soon as one term is. xpow's fast branch, v ** expo, runs in line."""
     if expo == 0:
         raise ValueError("p must be nonzero")
-    total = 0.0
-    for a, b, v in zip(breakpoints, breakpoints[1:], values):
-        term = xpow(v, expo)
-        if math.isinf(term):
+    total, ends = 0.0, iter(breakpoints)
+    a = next(ends, 0.0)
+    for b, v in zip(ends, values):
+        try:
+            term = v ** expo if 0.0 < v < INF else xpow(v, expo)
+        except OverflowError:
+            term = xpow(v, expo)  # raises again, naming the power
+        if term == INF:  # terms are never negative
             return INF
         total += (b - a) * term
+        a = b
     return total
 
 
@@ -149,9 +154,10 @@ def _cone_point(x, y, z):
 
 
 def triple_of_pair(f, g, p):
-    """The cone point (|f|_p^p, |g|_p^p, |fg|_{p/2}^{p/2}) of a pair."""
-    return _cone_point(pth_power_norm(f, p), pth_power_norm(g, p),
-                       overlap_norm(f, g, p))
+    """The cone point (|f|_p^p, |g|_p^p, |fg|_{p/2}^{p/2}) of a pair, by the list kernels."""
+    fb, fv, gb, gv = f.breakpoints, f.values, g.breakpoints, g.values
+    return _cone_point(_integral(fb, fv, p), _integral(gb, gv, p),
+                       _overlap_integral(*_refine(fb, fv, gb, gv), p))
 
 
 def sum_norm(f, g, p):

@@ -152,6 +152,19 @@ class TestTorsion:
             analysis.torsion_sign_changes(classify(3.0), grid=grid)
         assert str(exc.value) == "grid must be at least 3, got %d" % grid
 
+    @pytest.mark.parametrize("p_val", [0.25, -0.25, 0.2, -0.2, 0.005, -0.001])
+    def test_rejects_p_below_floor(self, p_val):
+        """Below |p| = 0.3 the stencil's steps do not resolve phi_p (p = -0.29
+        reports 3 sign changes at grid 4096); p = -0.001 used to overflow."""
+        with pytest.raises(ValueError) as exc:
+            analysis.torsion_sign_changes(classify(p_val))
+        assert str(exc.value) == "torsion needs |p| >= 0.3, got p = %r" % p_val
+
+    @pytest.mark.parametrize("grid", [16, 512, 8192])
+    @pytest.mark.parametrize("p_val", [0.3, -0.3])
+    def test_single_change_at_floor(self, p_val, grid):
+        assert analysis.torsion_sign_changes(classify(p_val), grid=grid).count == 1
+
     def test_grid_3_reports(self):
         rep = analysis.torsion_sign_changes(classify(3.0), grid=3)
         assert isinstance(rep, analysis.TorsionReport)

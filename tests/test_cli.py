@@ -401,13 +401,14 @@ class TestOracleCompare:
     @pytest.mark.parametrize("p, kind", [("50", "concave"), ("45", "convex"),
                                          ("40", "concave")])
     def test_hull_out_of_qhull_reach_exit2(self, capsys, p, kind):
-        """Where qhull builds no hull, or one with no facet of a kind, the
-        exit is 2 with a message naming p and n, not a traceback's 1."""
+        """Where qhull builds no hull, or one with no facet of a kind, p is
+        above the oracle's ceiling: the exit is 2 with a message naming p
+        and the ceiling, not a traceback's 1."""
         code, out, err = run(capsys, "oracle-compare", "-p", p, "--kind", kind,
                              "--n", "64", "--grid", "3")
         assert code == 2
         assert out == ""
-        assert err == "error: qhull resolves no concave facet at p = %s.0, n = 64\n" % p
+        assert err == "error: the oracle converges only for p <= 26.5, got p = %s.0\n" % p
 
     def test_smallest_grid(self, capsys):
         code, out, _ = run(capsys, "oracle-compare", "-p", "3", "--n", "64",

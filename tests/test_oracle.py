@@ -265,15 +265,37 @@ class TestFurthestHull:
 
     @pytest.mark.parametrize("p_val, n", [(50.0, 64), (50.0, 2048), (45.0, 512)])
     def test_qhull_failure_is_value_error(self, p_val, n):
-        """qhull's flat-simplex error becomes a ValueError naming p and n."""
+        """qhull's flat-simplex error becomes a ValueError naming p and n
+        (above the ceiling, so the hull is built without EnvelopeOracle)."""
         with pytest.raises(ValueError, match=r"p = %r, n = %d" % (p_val, n)):
-            EnvelopeOracle(classify(p_val), "concave", n)
+            EnvelopeOracle._facet_planes(BoundaryCurve(classify(p_val), n))
 
     def test_no_facet_of_a_kind_is_value_error(self):
         """At p = 40 qhull builds, but no facet's normal clears the 1e-12
         filter, so neither kind has a plane to take a min or max over."""
         with pytest.raises(ValueError, match=r"no concave facet at p = 40.0, n = 64"):
-            EnvelopeOracle(classify(40), "convex", 64)
+            EnvelopeOracle._facet_planes(BoundaryCurve(classify(40), 64))
+
+
+class TestCeiling:
+    """Above p = 26.5 qhull's precision (about 2^-52 of the largest lifted
+    value, 2^p) stops the error falling as n doubles: at p = 26.6 it reads
+    5.9e-6 at n = 4096 and 1.8e-5 at 8192."""
+
+    @pytest.mark.parametrize("p_val", [26.6, 30.0, 39.5, 44.0])
+    def test_above_is_value_error(self, p_val):
+        with pytest.raises(ValueError) as err:
+            EnvelopeOracle(classify(p_val), "concave", 64)
+        assert str(err.value) == "the oracle converges only for p <= 26.5, got p = %r" % p_val
+
+    def test_error_falls_with_n_at_ceiling(self):
+        errs = []
+        for n in (512, 2048, 8192):
+            concave = EnvelopeOracle(classify(26.5), "concave", n)
+            errs.append(max(np.max(np.abs(ov - cf) / np.maximum(1.0, np.abs(cf)))
+                            for _, _, cf, ov in map(oracle_comparison,
+                                                    (concave, concave.opposite()))))
+        assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-5, errs
 
 
 def _grid_loop(m, margin=0.02):
