@@ -9,6 +9,7 @@ the closed forms it is used to check.
 """
 
 import copy
+import os
 
 import numpy as np
 
@@ -56,6 +57,8 @@ class BoundaryCurve:
 _BLOCK_ELEMENTS = 1 << 16
 
 _OPPOSITE = {"concave": "convex", "convex": "concave"}
+_BUILDER = []  # the one thread that builds every hull, started at the first build
+os.register_at_fork(after_in_child=_BUILDER.clear)  # a forked child starts its own
 
 
 class EnvelopeOracle:
@@ -71,10 +74,12 @@ class EnvelopeOracle:
             raise ValueError("kind must be 'concave' or 'convex'")
         if p.p > 26.5:  # qhull's precision follows 2^p: above it, error stops falling in n
             raise ValueError("the oracle converges only for p <= 26.5, got p = %r" % p.p)
-        curve = BoundaryCurve(p, n)
-        self.curve = curve
+        self.curve = BoundaryCurve(p, n)
         self.kind = kind
-        self._planes = self._facet_planes(curve)
+        if not _BUILDER:  # concurrent.futures, like scipy, loads at the first build
+            from concurrent.futures import ThreadPoolExecutor
+            _BUILDER.append(ThreadPoolExecutor(max_workers=1))
+        self._planes = _BUILDER[0].submit(self._facet_planes, self.curve)  # the build's future
 
     @staticmethod
     def _facet_planes(curve):
@@ -123,14 +128,13 @@ class EnvelopeOracle:
         """
         s = np.asarray(s, dtype=float)
         z = np.asarray(z, dtype=float)
-        if np.any(np.abs(s) > 1.0 + 1e-12) or np.any(z < -1e-12) or np.any(
-            s * s + z * z > 1.0 + 1e-9
-        ):
+        if not (np.all(np.abs(s) <= 1.0 + 1e-12) and np.all(z >= -1e-12)
+                and np.all(s * s + z * z <= 1.0 + 1e-9)):  # NaN fails each test
             raise ValueError("query outside the closed half-disc D")
         s, z = np.broadcast_arrays(s, z)
         shape = s.shape
         s, z = s.ravel(), z.ravel()
-        a, b, c = self._planes[self.kind]
+        a, b, c = self._planes.result()[self.kind]  # a failed build raises here
         reduce = np.minimum.reduce if self.kind == "concave" else np.maximum.reduce
         rows = max(1, _BLOCK_ELEMENTS // len(a))
         vals = np.empty((min(rows, s.size), len(a)))

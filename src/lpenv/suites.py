@@ -158,12 +158,18 @@ def oracle_comparison(oc, m=20):
 
 
 def oracle_errors(n):
-    """Yield (p, kind, err) for each exponent of P_GRID and envelope kind:
-    err is the largest |oracle - closed form| / max(1, |closed form|) (or
-    NaN) of oracle_comparison at n nodes. Both kinds share one hull build."""
-    for p_val in P_GRID:
-        concave = EnvelopeOracle(classify(p_val), "concave", n)
-        for oc in (concave, concave.opposite()):
-            _, _, cf, ov = oracle_comparison(oc)
-            err = np.max(np.abs(ov - cf) / np.maximum(1.0, np.abs(cf)))
-            yield p_val, oc.kind, float(err)
+    """Yield (p, kind, err) for each exponent of P_GRID and kind: the largest
+    |oracle - closed form| / max(1, |closed form|) (or NaN) over interior_grid()
+    at n nodes. One hull per exponent, built while the one before is compared."""
+    s, z = interior_grid().T
+    ahead = EnvelopeOracle(classify(P_GRID[0]), "concave", n)
+    try:
+        for p_val, p_next in zip(P_GRID, P_GRID[1:] + (None,)):
+            oc = ahead  # the exponent before is let go before the next build is queued
+            ahead = p_next and EnvelopeOracle(classify(p_next), "concave", n)
+            _, _, upper, lower, _ = envelope_arrays(oc.curve.p, 1.0 + s, 1.0 - s, z)
+            for oc, cf in ((oc, upper), (oc.opposite(), lower)):
+                err = np.max(np.abs(oc.evaluate(s, z) - cf) / np.maximum(1.0, np.abs(cf)))
+                yield p_val, oc.kind, float(err)
+    finally:  # a closed or failed sweep leaves no build queued
+        ahead and ahead._planes.cancel()

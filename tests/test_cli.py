@@ -418,11 +418,13 @@ class TestOracleCompare:
 
 
 def test_import_leaves_out_scipy_spatial():
-    """scipy.spatial is loaded by the first hull build, not by the CLI."""
+    """scipy.spatial, and concurrent.futures with the hull-building thread,
+    are loaded by the first hull build, not by the CLI."""
     src = os.path.dirname(os.path.dirname(lpenv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, lpenv.cli; print('scipy.spatial' in sys.modules)"
+    probe = ("import sys, lpenv.cli; print(sorted(m for m in sys.modules"
+             " if m in ('concurrent.futures', 'scipy.spatial')))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

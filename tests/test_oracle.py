@@ -1,11 +1,19 @@
 import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from lpenv import oracle
+import lpenv
+from lpenv import oracle, suites
+from lpenv.cli import main
 from lpenv.envelopes import ConeTriple, classify, lower_envelope, upper_envelope
 from lpenv.oracle import BoundaryCurve, EnvelopeOracle, boundary_value
 from lpenv.suites import P_GRID, interior_grid, oracle_comparison
@@ -14,7 +22,15 @@ from empirical import empirical_B
 
 
 def _planes(oc):
-    return oc._planes[oc.kind]
+    return oc._planes.result()[oc.kind]
+
+
+@pytest.fixture(autouse=True)
+def drained_builder():
+    """No background build left by an earlier test runs during this one
+    (some tests count or replace qhull calls)."""
+    if oracle._BUILDER:
+        oracle._BUILDER[0].submit(int).result(timeout=60)
 
 
 def _scan(kind, planes, ss, zs):
@@ -89,6 +105,15 @@ class TestOracleEnvelope:
             EnvelopeOracle(classify(3), "concave", 64).evaluate(0.9, 0.9)
         with pytest.raises(ValueError):
             EnvelopeOracle(classify(3), "sideways", 64).evaluate(0.0, 0.5)
+
+    @pytest.mark.parametrize("s, z", [
+        (math.nan, 0.5), (0.0, math.nan),
+        (np.array([0.0, math.nan, 0.2]), 0.3), (0.1, np.array([0.2, math.nan]))])
+    def test_rejects_nan(self, s, z):
+        """A NaN coordinate, alone or inside an array, is outside D."""
+        oc = EnvelopeOracle(classify(3), "concave", 64)
+        with pytest.raises(ValueError, match="^query outside the closed half-disc D$"):
+            oc.evaluate(s, z)
 
     @pytest.mark.parametrize("p_val", P_GRID)
     def test_one_sided(self, p_val):
@@ -179,6 +204,7 @@ class TestBatchedQuery:
         monkeypatch.setattr(oracle, "ConvexHull", counting_hull)
         for kind in ("concave", "convex"):
             oc = EnvelopeOracle(p, kind, 128)
+            _planes(oc)  # the background build is done before opposite() is counted
             before = len(builds)
             other = oc.opposite()
             assert len(builds) == before
@@ -257,7 +283,7 @@ class TestFurthestHull:
             equations = eqs
 
         monkeypatch.setattr(oracle, "ConvexHull", lambda pts: Hull)
-        a, b, c = EnvelopeOracle(classify(3), "concave", 16)._planes["concave"]
+        a, b, c = EnvelopeOracle(classify(3), "concave", 16)._planes.result()["concave"]
         assert a.tolist() == [-1.0, -0.0, 0.0, -1.0]
         assert np.signbit(a).tolist() == [True, True, False, True]
         assert (b.tolist(), c.tolist()) == ([-2.0, -1.0, -1.0, -2.0], [-3.0, -1.0, -1.0, -3.0])
@@ -326,6 +352,157 @@ class TestComparisonColumns:
             [scalar(p, ConeTriple(1.0 + a, 1.0 - a, b))
              for a, b in zip(s.tolist(), z.tolist())])
         assert np.array_equal(ov, oc.evaluate(s, z))
+
+
+_NO_FACET = "qhull resolves no concave facet at p = 40.0, n = 64"
+
+
+def _serial_oracle_errors(n):
+    """oracle_errors as one loop over P_GRID: each exponent's hull built and
+    waited for, then both kinds compared through oracle_comparison."""
+    for p_val in P_GRID:
+        concave = EnvelopeOracle(classify(p_val), "concave", n)
+        _planes(concave)
+        for oc in (concave, concave.opposite()):
+            _, _, cf, ov = oracle_comparison(oc)
+            yield p_val, oc.kind, float(np.max(np.abs(ov - cf) / np.maximum(1.0, np.abs(cf))))
+
+
+class TestBackgroundBuild:
+    """Each hull is built on one background thread; the caller waits for it
+    where the planes are first read."""
+
+    @pytest.fixture
+    def failing_build(self, monkeypatch):
+        """A _facet_planes that raises p = 40's error, whatever the curve."""
+        with pytest.raises(ValueError) as real:
+            EnvelopeOracle._facet_planes(BoundaryCurve(classify(40), 64))
+        assert str(real.value) == _NO_FACET
+
+        def fail(curve):
+            raise ValueError(_NO_FACET)
+
+        monkeypatch.setattr(EnvelopeOracle, "_facet_planes", staticmethod(fail))
+
+    def test_build_error_on_first_evaluate(self, failing_build):
+        oc = EnvelopeOracle(classify(3), "concave", 64)  # submitting does not raise
+        for other in (oc, oc.opposite(), oc):
+            with pytest.raises(ValueError) as err:
+                other.evaluate(0.0, 0.5)
+            assert type(err.value) is ValueError and str(err.value) == _NO_FACET
+
+    def test_build_error_through_cli(self, failing_build, capsys):
+        assert main(["verify", "oracle", "--n", "64"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: %s\n" % _NO_FACET)
+
+    def test_only_the_build_leaves_the_main_thread(self, monkeypatch):
+        on_main = {}
+
+        def record(name, fn):
+            def wrapper(*args, **kwargs):
+                on_main.setdefault(name, set()).add(
+                    threading.current_thread() is threading.main_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "boundary_value", record("curve", oracle.boundary_value))
+        monkeypatch.setattr(EnvelopeOracle, "evaluate",
+                            record("evaluate", EnvelopeOracle.evaluate))
+        monkeypatch.setattr(suites, "envelope_arrays",
+                            record("closed form", suites.envelope_arrays))
+        monkeypatch.setattr(EnvelopeOracle, "_facet_planes", staticmethod(
+            record("build", EnvelopeOracle._facet_planes)))
+        assert len(list(suites.oracle_errors(64))) == 2 * len(P_GRID)
+        assert on_main == {"curve": {True}, "evaluate": {True},
+                           "closed form": {True}, "build": {False}}
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_matches_serial_loop(self, n):
+        assert repr(list(suites.oracle_errors(n))) == repr(list(_serial_oracle_errors(n)))
+
+    def test_lookahead_is_one_exponent(self, monkeypatch):
+        """At each submission and each yield, at most two exponents' builds
+        are pending or held; the next exponent is submitted before this one
+        is compared."""
+        pool = ThreadPoolExecutor(max_workers=1)
+        futures = []
+
+        def live():
+            return sum(ref() is not None for ref in futures)
+
+        class Counting:
+            def submit(self, fn, *args):
+                future = pool.submit(fn, *args)
+                futures.append(weakref.ref(future))
+                assert live() <= 2
+                return future
+
+        monkeypatch.setattr(oracle, "_BUILDER", [Counting()])
+        try:
+            for i, (p_val, _, _) in enumerate(suites.oracle_errors(64)):
+                assert p_val == P_GRID[i // 2]
+                assert len(futures) == min(i // 2 + 2, len(P_GRID))
+                assert live() <= 2
+        finally:
+            pool.shutdown()
+        assert len(futures) == len(P_GRID)
+
+    @pytest.mark.parametrize("stop", ["close", "raise"])
+    def test_a_stopped_sweep_cancels_the_queued_build(self, stop, monkeypatch):
+        """A sweep closed after its first row, or failing at its first
+        evaluate, cancels the next exponent's build, queued behind a task
+        that holds the worker."""
+        pool, release, futures = ThreadPoolExecutor(max_workers=1), threading.Event(), []
+        facet_planes = EnvelopeOracle._facet_planes
+
+        def build(curve):
+            if stop == "raise":
+                raise ValueError(_NO_FACET)
+            return facet_planes(curve)
+
+        class Holding:
+            def submit(self, fn, *args):
+                if futures:  # the worker waits, so this build stays queued
+                    pool.submit(release.wait, 60)
+                futures.append(pool.submit(fn, *args))
+                return futures[-1]
+
+        monkeypatch.setattr(oracle, "_BUILDER", [Holding()])
+        monkeypatch.setattr(EnvelopeOracle, "_facet_planes", staticmethod(build))
+        sweep = suites.oracle_errors(64)
+        try:
+            if stop == "close":
+                assert next(sweep)[:2] == (P_GRID[0], "concave")
+                sweep.close()
+            else:
+                with pytest.raises(ValueError, match=_NO_FACET):
+                    next(sweep)
+            assert len(futures) == 2 and futures[1].cancelled()
+        finally:
+            release.set()
+            pool.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_builder(self):
+        """The builder thread does not survive a fork; a child that builds
+        after one starts its own instead of waiting forever (an alarm ends
+        the child if it does wait)."""
+        code = (
+            "import os, signal\n"
+            "from lpenv import EnvelopeOracle, classify\n"
+            "value = lambda: EnvelopeOracle(classify(3), 'concave', 64).evaluate(0.0, 0.5)\n"
+            "first = value()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    os._exit(0 if value() == first else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))")
+        src = os.path.dirname(os.path.dirname(lpenv.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestIndependence:
