@@ -8,6 +8,7 @@ output is printed with 17 significant digits; exit status is 0 on pass,
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -32,10 +33,7 @@ def cmd_bound(args):
     if args.files and args.triple:
         raise ValueError("give x y z or --files F G, not both")
     if args.files:
-        with open(args.files[0]) as fh:
-            f = StepFunction.from_json(fh.read())
-        with open(args.files[1]) as fh:
-            g = StepFunction.from_json(fh.read())
+        f, g = (StepFunction.from_json(Path(a).read_text()) for a in args.files)
         report = sum_and_report(f, g, p)
         _dump(report.to_dict())
         return 0 if report.ok() else 1
@@ -116,8 +114,7 @@ def _write_csv(rows, out):
     """Write the CSV lines to the file ``out``, or to stdout when unset."""
     text = "\n".join(rows) + "\n"
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        Path(out).write_text(text, newline="")
     else:
         sys.stdout.write(text)
     return 0
@@ -199,7 +196,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -169,8 +169,9 @@ def pair_norms(lengths, breakpoints, values, p):
     """(x, y, z, |f+g|_p^p) as float arrays over the pairs (0, 1), (2, 3), ...
     of an even, nonzero count of functions in sampling._draws' columns (its
     arrays, taken without a copy, or lists): the floats of triple_of_pair and
-    sum_norm, summed in _integral's order, but a power that overflows raises
-    OverflowError even after a +inf term."""
+    sum_norm, as each integral is a weighted bincount, which adds a bin's
+    terms in order from 0.0 like _integral (np.add.reduceat adds pairwise);
+    but a power that overflows raises OverflowError even after a +inf term."""
     if p == 0 or not len(lengths) or len(lengths) % 2:
         raise ValueError("p must be nonzero and the function count even, > 0")
     n, bps, vals = (np.asarray(a) for a in (lengths, breakpoints, values))
@@ -187,17 +188,12 @@ def pair_norms(lengths, breakpoints, values, p):
     fv = vals[np.maximum.accumulate(np.where(odd, 0, order))[keep]]
     gv = vals[np.maximum.accumulate(np.where(odd, order, 0))[keep]]
     pair, width = pair[keep], (nxt - at)[keep]
-    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf sums
+    xy = np.bincount(fid, weights=(right - left) * xpow_array(vals, p), minlength=2 * h)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0; fv * gv, fv + gv overflow
         product = np.where(np.isinf(fv) | np.isinf(gv), INF, fv * gv)
-        terms = np.concatenate((right - left, width, width)) * np.concatenate(
-            (xpow_array(vals, p), xpow_array(product, 0.5 * p),
-             xpow_array(fv + gv, p)))
-        col = np.concatenate((fid, 2 * h + pair, 3 * h + pair))  # x|y, z, sum
-        row = np.arange(len(col)) - np.searchsorted(col, col)
-        table = np.zeros((row.max() + 1, 4 * h))
-        table[row, col] = terms
-        total = sum(table, np.zeros(4 * h))
-    return (*total[:2 * h].reshape(h, 2).T, total[2 * h:3 * h], total[3 * h:])
+        z = np.bincount(pair, weights=width * xpow_array(product, 0.5 * p), minlength=h)
+        total = np.bincount(pair, weights=width * xpow_array(fv + gv, p), minlength=h)
+    return (*xy.reshape(h, 2).T, z, total)
 
 
 def sum_and_report(f, g, p):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lpenv import stepfun
 from lpenv.envelopes import ConeTriple, classify
 from lpenv.extremal import extremal_F, extremal_G
-from lpenv.powers import INF
+from lpenv.powers import INF, xpow
 from lpenv.sampling import _draws, random_pair, substreams
 from lpenv.stepfun import (StepFunction, _cone_point, overlap_norm,
                            pair_norms, pth_power_norm, refine, sum_and_report,
@@ -282,8 +282,15 @@ class TestPairNorms:
                              [0.25 * (k + 1) for k in range(8)])
         split = StepFunction((0.0, 0.25, 0.5, 1.0), (2.0, 0.5, 3.0))
         shared = StepFunction((0.0, 0.25, 0.5, 1.0), (0.75, 4.0, 1.25))
+        odd = StepFunction([0.0, *((2 * k + 1) / 16 for k in range(8)), 1.0],
+                           [0.3 * (k + 1) for k in range(9)])
+        # 16 merged intervals: a pairwise reduction (np.add.reduce, and so
+        # np.add.reduceat per bin) adds this pair's terms in another order
+        merged, fv, gv = refine(eight, odd)
+        terms = np.diff(merged) * [xpow(a + b, p) for a, b in zip(fv, gv)]
+        assert np.add.reduce(terms) != sum_norm(eight, odd, p)
         pairs = [(one, one), (one, eight), (eight, eight), (split, shared),
-                 (eight, split), (shared, one)]
+                 (eight, split), (shared, one), (eight, odd)]
         if p < 0:  # +inf atoms
             pairs += [(StepFunction((0.0, 0.5, 1.0), (INF, 2.0)), eight),
                       (StepFunction((0.0, 0.125, 1.0), (INF, INF)), split)]
