@@ -3,17 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpenv import sampling
 from lpenv.envelopes import classify
 from lpenv.powers import INF
 from lpenv.envelopes import sum_bound
 from lpenv.sampling import (_draws, random_pair, random_step_functions,
                             substreams)
-from lpenv.stepfun import (StepFunction, _integral, _refine, overlap_norm,
-                           pth_power_norm, sum_and_report)
+from lpenv.stepfun import (_integral, _refine, overlap_norm, pth_power_norm,
+                           sum_and_report)
 from lpenv.suites import (P_GRID, SUM_LOWER_PS, SUM_UPPER_PS, _tally,
                           pair_sweep, sum_sweep)
-from reference_draw import _draw, columns
+from reference_draw import columns
 
 
 def reference_pair_sweep(seed, samples):
@@ -32,8 +31,9 @@ def reference_pair_sweep(seed, samples):
 
 
 def reference_sum_sweep(seed, samples):
-    """The sum sweep one term at a time: a _draw per term, then the
-    moments, overlaps and sum norm of each sum as many_sweep takes them."""
+    """The sum sweep one term at a time: a one-function
+    random_step_functions call per term, then the moments, overlaps and sum
+    norm of each sum as many_sweep takes them."""
     upper, lower = substreams(seed, 2)
     cases = ([(p, True, upper) for p in SUM_UPPER_PS]
              + [(p, False, lower) for p in SUM_LOWER_PS])
@@ -44,7 +44,7 @@ def reference_sum_sweep(seed, samples):
             p = classify(p_val)
             sign = 1.0 if upper else -1.0
             for _ in range(per):
-                fs = [StepFunction(*_draw(rng, p.p))
+                fs = [random_step_functions(rng, p.p, 1)[0]
                       for _ in range(int(rng.integers(3, 9)))]
                 moments = [pth_power_norm(f, p.p) for f in fs]
                 overlaps = sum(overlap_norm(f, g, p.p)
@@ -60,137 +60,201 @@ def reference_sum_sweep(seed, samples):
     return _tally(list(margins()))
 
 
-class TestRandomPairs:
-    @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 3.0])
-    def test_same_draws_as_random_pair(self, p):
-        """pair_sweep's two _draw calls per pair hold random_pair's
-        functions and leave the generator where random_pair does."""
-        sweep, twin = substreams(11, 1)[0], substreams(11, 1)[0]
-        for _ in range(300):
-            drawn = (_draw(sweep, p), _draw(sweep, p))
-            for f, (bps, vals) in zip(random_pair(twin, p), drawn):
-                assert bps == list(f.breakpoints)
-                assert vals == list(f.values)
-        assert sweep.bit_generator.state == twin.bit_generator.state
-
-    def test_zero_interior_breakpoint_rejected(self):
-        """Two atoms from the cached 1 << 29 and an interior breakpoint
-        drawn as 0.0: the sampler raises _draw's error and leaves the
-        generator where _draw does."""
-        rng, twin = planted(0, 1, 1 << 29), planted(0, 1, 1 << 29)
-        with pytest.raises(ValueError, match="strictly increasing") as got:
-            random_step_functions(rng, 1.0, 1)
-        with pytest.raises(ValueError) as want:
-            _draw(twin, 1.0)
-        assert str(got.value) == str(want.value)
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-
-def planted(word, has_uint32=0, uinteger=0):
-    """A PCG64 generator whose next raw word is ``word`` (below 2**64) and
-    whose 32-bit cache holds ``has_uint32`` and ``uinteger``.
-
-    PCG64 steps its 128-bit state, then outputs the XSL-RR of the new
-    state, which is the low word when the high word is 0; advancing by
-    2**128 - 1 steps back once, so the next step lands on that state.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))
-    bg = rng.bit_generator
-    state = bg.state
-    state["state"]["state"] = word
-    bg.state = state
-    bg.advance(2 ** 128 - 1)
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
-    bg.state = state
-    return rng
-
-
-def rejecting_word():
-    """The first word w >= 2**30 that starts a three-atom function whose
-    degenerate atom is planted: w's low half gives n = 3 and its high half,
-    0, is the cached 32-bit draw that Lemire's method rejects at range 3."""
-    w = 1 << 30
-    while (planted(w).bit_generator.random_raw(7)[6] >> 11) * 2.0 ** -53 >= 0.1:
-        w += 1
-    assert w >> 29 == 2
-    return w
-
-
 def as_lists(arrays):
     """_draws' arrays as lists, compared with == rather than a tolerance."""
     return tuple(a.tolist() for a in arrays)
 
 
-def assert_same_as_draw(make, p, counts):
-    """_draws(rng, p, c) for each c of ``counts`` in turn holds the columns
-    of what c _draw(twin, p) calls return, and leaves rng's state where
-    they do."""
-    rng, twin = make(), make()
+def listed(functions):
+    """StepFunctions as _draws' columns, in lists."""
+    return columns([(list(f.breakpoints), list(f.values)) for f in functions])
+
+
+def joined(parts):
+    """The columns of successive draws, concatenated."""
+    out = ([], [], [])
+    for part in parts:
+        for column, values in zip(out, part):
+            column += values
+    return out
+
+
+def fresh():
+    return substreams(5, 1)[0]
+
+
+def cached():
+    """fresh()'s generator with its 32-bit cache full."""
+    rng = fresh()
+    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1,
+                               "uinteger": 0xDEADBEEF}
+    return rng
+
+
+def moved(make, words):
+    """The state of make()'s generator ``words`` raw words on, its 32-bit
+    cache as make() left it (advance clears the cache; random_raw does not)."""
+    bg = make().bit_generator
+    cache = {key: bg.state[key] for key in ("has_uint32", "uinteger")}
+    return {**bg.advance(words).state, **cache}
+
+
+def assert_stride(make, p, counts):
+    """Successive calls _draws(rng, p, c), c of ``counts``, hold the columns
+    of one-function calls on a twin and of random_step_functions(., p, c) on
+    a third generator; all three end 18 words per function on, their 32-bit
+    caches untouched."""
+    rng, twin, lists = make(), make(), make()
     for count in counts:
-        assert as_lists(_draws(rng, p, count)) == columns(
-            [_draw(twin, p) for _ in range(count)])
-        assert rng.bit_generator.state == twin.bit_generator.state
+        want = joined(as_lists(_draws(twin, p, 1)) for _ in range(count))
+        assert as_lists(_draws(rng, p, count)) == want
+        assert listed(random_step_functions(lists, p, count)) == want
+    end = moved(make, 18 * sum(counts))
+    for gen in (rng, twin, lists):
+        assert gen.bit_generator.state == end
+
+
+class Stream:
+    """A stand-in bit generator that hands out ``words`` as raw words (zeros
+    after them), with PCG64's state keys for the position and the 32-bit
+    cache, which random_raw leaves as it is."""
+
+    def __init__(self, words):
+        self.words, self.state = words, {"pos": 0, "has_uint32": 0,
+                                         "uinteger": 0}
+
+    def random_raw(self, size):
+        pos = self.state["pos"]
+        self.state = {**self.state, "pos": pos + size}
+        return np.array((self.words + [0] * (pos + size))[pos:pos + size],
+                        dtype=np.uint64)
+
+
+def streamed(words):
+    """A generator whose bit generator is Stream(words)."""
+    return type("Rng", (), {"bit_generator": Stream(words)})
+
+
+def double_word(x):
+    """The word read as the uniform x, a multiple of 2**-53 in [0, 1)."""
+    return int(x * 2 ** 53) << 11
+
+
+def function_words(n, breakpoints, values, atom=None):
+    """The 18 words of one function: atom count n, the breakpoint and value
+    uniforms given (0.0 after them) and, where ``atom`` is a uniform u, an
+    atom at interval floor(u * m)."""
+    bps, vals = (list(a) + [0.0] * 8 for a in (breakpoints, values))
+    test = 0.5 if atom is None else 0.0
+    return [(n - 1) << 61] + [double_word(u) for u in
+                              bps[:7] + vals[:8] + [test, atom or 0.0]]
+
+
+def exp_values(us):
+    return np.exp(-3.0 + 6.0 * np.array(us)).tolist()
+
+
+class TestRandomPairs:
+    @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 3.0])
+    def test_same_draws_as_random_pair(self, p):
+        """pair_sweep's one _draws call of 2k functions holds the k pairs of
+        k random_pair calls and leaves the generator where they do."""
+        sweep, twin = substreams(11, 1)[0], substreams(11, 1)[0]
+        drawn = as_lists(_draws(sweep, p, 600))
+        assert listed(f for _ in range(300) for f in random_pair(twin, p)) == drawn
+        assert sweep.bit_generator.state == twin.bit_generator.state
+
+    def test_zero_interior_breakpoint_rejected(self):
+        """Two atoms whose breakpoint is read as 0.0: the breakpoint is
+        dropped, not the function, and random_step_functions gives one
+        interval, its value the atom planted at floor(0.875 * 1) = 0."""
+        rng = streamed(function_words(2, [0.0], [0.25, 0.5], atom=0.875))
+        [f] = random_step_functions(rng, -1.0, 1)
+        assert (list(f.breakpoints), list(f.values)) == ([0.0, 1.0], [INF])
+        assert rng.bit_generator.state["pos"] == 18
 
 
 class TestDraws:
     @pytest.mark.parametrize("p", P_GRID)
-    @pytest.mark.parametrize("count", [1, 2, 500, 2 * sampling._CHUNK + 3])
+    @pytest.mark.parametrize("count", [1, 2, 500, 515])
     def test_same_as_draw_loop(self, p, count):
-        assert_same_as_draw(lambda: substreams(5, 1)[0], p, [count])
+        assert_stride(fresh, p, [count])
 
     @pytest.mark.parametrize("seed", [1, 3, 7, 42])
     def test_successive_calls(self, seed):
-        assert_same_as_draw(lambda: substreams(seed, 1)[0], 1.5,
-                            [500, 1, 37, 0, 500])
+        """Successive calls of 500, 1, 37, 0 and 500 functions hold the
+        functions of one call of 1038 and end where it does."""
+        rng, twin = substreams(seed, 1)[0], substreams(seed, 1)[0]
+        got = joined(as_lists(_draws(rng, 1.5, c)) for c in (500, 1, 37, 0, 500))
+        assert got == as_lists(_draws(twin, 1.5, 1038))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert_stride(lambda: substreams(seed, 1)[0], 1.5, [500, 1, 37, 0, 500])
 
     @pytest.mark.parametrize("p", [-1.0, 3.0])
     def test_cached_uint32_on_entry(self, p):
+        """A full 32-bit cache is neither read nor cleared: the functions are
+        a fresh generator's, and the cache is still full at the end."""
         for count in (1, 2, 500):
-            assert_same_as_draw(lambda: planted(987654321, 1, 0xDEADBEEF), p,
-                                [count])
+            assert as_lists(_draws(cached(), p, count)) == as_lists(
+                _draws(fresh(), p, count))
+            assert_stride(cached, p, [count])
 
     def test_zero_interior_breakpoint(self):
-        """Atom count 2 from the cached 1 << 29, then the word 0 as the
-        breakpoint: both paths raise and leave the same state."""
-        rng, twin = planted(0, 1, 1 << 29), planted(0, 1, 1 << 29)
-        with pytest.raises(ValueError, match="strictly increasing") as got:
-            _draws(rng, 1.0, 3)
-        with pytest.raises(ValueError, match="strictly increasing") as want:
-            _draw(twin, 1.0)
-        assert str(got.value) == str(want.value)
-        assert rng.bit_generator.state == twin.bit_generator.state
+        """Three atoms with breakpoints 0.0 and 0.5: the 0.0 merges into the
+        start, so m = 2 intervals take the first two value words and the
+        atom index is floor(0.875 * 2) = 1, not floor(0.875 * 3) = 2."""
+        rng = streamed(function_words(3, [0.0, 0.5], [0.25, 0.75, 0.5],
+                                      atom=0.875))
+        want = ([2], [0.0, 0.5, 1.0], [exp_values([0.25])[0], 0.0])
+        assert as_lists(_draws(rng, 2.0, 1)) == want
+        assert rng.bit_generator.state["pos"] == 18
 
     @pytest.mark.parametrize("p, atom", [(-2.0, INF), (-0.5, INF),
                                          (0.5, 0.0), (3.0, 0.0)])
-    def test_lemire_rejection(self, p, atom):
-        """The cached draw 0 is rejected at range 3, so the index takes a
-        fresh word and the call ends with the uint32 cache full."""
-        w = rejecting_word()
-        rng, twin = planted(w), planted(w)
-        [n], breakpoints, values = as_lists(_draws(rng, p, 1))
-        assert (breakpoints, values) == _draw(twin, p)
-        assert n == 3
-        assert len(values) == 3 and atom in values
-        assert rng.bit_generator.state == twin.bit_generator.state
-        assert rng.bit_generator.state["has_uint32"] == 1
-        assert_same_as_draw(lambda: planted(w), p, [2, 500])
+    def test_decoded_by_hand(self, p, atom):
+        """One function from 18 known words. Word 0's top three bits give
+        n = 4, the first three breakpoint words sort to 0.125, 0.375, 0.625,
+        the first four value words give the values, and the atom test's
+        largest uniform below 0.1 plants the atom at floor(0.625 * 4) = 2.
+        Words 4-7 and 12-15 are not read, nor are each word's low 11 bits
+        or word 0's low 61."""
+        low = (1 << 11) - 1
+        words = [3 << 61 | 0x123456789,
+                 double_word(0.625) | low, double_word(0.125), double_word(0.375),
+                 double_word(0.0), double_word(0.0), double_word(0.5), low,
+                 double_word(0.5), double_word(0.25) | low, double_word(0.125),
+                 double_word(0.875),
+                 double_word(0.0), double_word(0.0), low, double_word(0.5),
+                 (900719925474100 - 1) << 11 | low,  # u just below 0.1
+                 double_word(0.625)]
+        values = exp_values([0.5, 0.25, 0.125, 0.875])
+        values[2] = atom
+        want = ([4], [0.0, 0.125, 0.375, 0.625, 1.0], values)
+        assert values[0] == 1.0
+        for draw in (lambda rng: as_lists(_draws(rng, p, 1)),
+                     lambda rng: listed(random_step_functions(rng, p, 1))):
+            rng = streamed(words)
+            assert draw(rng) == want
+            assert rng.bit_generator.state["pos"] == 18
+
+    def test_atom_test_boundary(self):
+        """The smallest atom-test word read as 0.1 plants no atom; one below
+        it does (the words of a one-atom function with value exp(0))."""
+        words = function_words(1, [], [0.5])
+        for test, want in ((900719925474100 << 11, 1.0),
+                           ((900719925474100 - 1) << 11 | 2047, 0.0)):
+            words[16] = test
+            assert as_lists(_draws(streamed(words), 1.0, 1)) == (
+                [1], [0.0, 1.0], [want])
 
     def test_buffers_bounded(self):
-        """Each random_raw call takes at most _CHUNK functions' words, and
-        2 * _CHUNK + 3 functions take a few buffers, not one per function."""
+        """Each call reads one buffer of exactly 18 words per function, by
+        one random_raw call: no state read, no advance."""
         class Recording:
-            """A bit generator that records each random_raw size."""
+            """A bit generator with random_raw only, recording each size."""
 
             def __init__(self, bg):
                 self.bg, self.sizes = bg, []
-
-            state = property(lambda self: self.bg.state,
-                             lambda self, state: setattr(self.bg, "state", state))
-
-            def advance(self, delta):
-                self.bg.advance(delta)
-                return self
 
             def random_raw(self, size):
                 self.sizes.append(size)
@@ -199,19 +263,16 @@ class TestDraws:
         class Rng:
             bit_generator = Recording(substreams(9, 1)[0].bit_generator)
 
-        count = 2 * sampling._CHUNK + 3
-        twin = substreams(9, 1)[0]
-        assert as_lists(_draws(Rng, 2.0, count)) == columns(
-            [_draw(twin, 2.0) for _ in range(count)])
-        assert Rng.bit_generator.state == twin.bit_generator.state
-        assert max(Rng.bit_generator.sizes) == sampling._CHUNK * sampling._WORDS
-        assert 2 <= len(Rng.bit_generator.sizes) <= 4
+        for count in (1, 2, 515, 0):
+            _draws(Rng, 2.0, count)
+        random_step_functions(Rng, 2.0, 7)
+        random_pair(Rng, 2.0)
+        assert Rng.bit_generator.sizes == [18, 36, 18 * 515, 0, 18 * 7, 36]
 
     def test_word_list_windowed(self):
-        """The walk keeps only the unread words of the last buffer as Python
-        ints: at criterion 2's 18,180 functions a call peaks near 11 MB of
-        Python and numpy allocations, against 19 MB when all ~309,000 words
-        stayed in one list."""
+        """At criterion 2's 18,180 functions a call peaks near 10 MB of
+        Python and numpy allocations, the words and their uniforms as
+        (count, 18) arrays."""
         rng = substreams(1, 1)[0]
         tracemalloc.start()
         try:
@@ -221,103 +282,96 @@ class TestDraws:
             tracemalloc.stop()
         assert peak < 15e6
 
-    def test_refill_in_rejection_loop(self, monkeypatch):
-        """With a buffer of seven words, the rejected function uses all
-        seven, and the index's next draw takes a new buffer."""
-        monkeypatch.setattr(sampling, "_WORDS", 7)
-        w = rejecting_word()
-        rng, twin = planted(w), planted(w)
-        assert as_lists(_draws(rng, 3.0, 1)) == columns([_draw(twin, 3.0)])
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-
-class Stream:
-    """A stand-in bit generator that hands out ``words`` as raw words (zeros
-    after them), with PCG64's state keys for the position and the 32-bit
-    cache; advance steps the position modulo 2**128 and clears the cache."""
-
-    def __init__(self, words):
-        self.words, self.state = words, {"pos": 0, "has_uint32": 0,
-                                         "uinteger": 0}
-
-    def advance(self, delta):
-        self.state = {"pos": (self.state["pos"] + delta) % 2 ** 128,
-                      "has_uint32": 0, "uinteger": 0}
-        return self
-
-    def random_raw(self, size):
-        pos = self.state["pos"]
-        self.advance(size)
-        return np.array((self.words + [0] * (pos + size))[pos:pos + size],
-                        dtype=np.uint64)
-
-
-def word(low=0, high=0):
-    return high << 32 | low
-
-
-def double_word(x):
-    """The word that random() reads as x, a multiple of 2**-53 in [0, 1)."""
-    return int(x * 2 ** 53) << 11
-
 
 class TestExactWalk:
-    @pytest.mark.parametrize("count", [1, 2, 500, 2 * sampling._CHUNK + 3])
-    @pytest.mark.parametrize("make", [lambda: substreams(5, 1)[0],
-                                      lambda: planted(987654321, 1, 0xDEADBEEF)],
+    """The layout walked exactly: replay from any draw, and merges."""
+
+    @pytest.mark.parametrize("count", [1, 2, 500, 515])
+    @pytest.mark.parametrize("make", [fresh, cached],
                              ids=["fresh", "cached-uint32"])
-    def test_forced_rewalk(self, monkeypatch, count, make):
-        """Every fast walk flagged as if it held a repeated breakpoint: both
-        samplers rewind and walk again exactly, and give _draw's functions
-        and state."""
-        sample, passes = sampling._sample, []
-
-        def flag_fast_walk(rng, p, count, assemble):
-            def flagged(*walk):
-                passes.append(len(passes) % 2)
-                if passes[-1] == 0:
-                    raise ValueError("flagged")
-                return assemble(*walk)
-            return sample(rng, p, count, flagged)
-
-        monkeypatch.setattr(sampling, "_sample", flag_fast_walk)
+    def test_forced_rewalk(self, count, make):
+        """Replay: draw k of a call of ``count``, walked again on a twin
+        forced 18k words on by advance, is _draws(twin, p, 1)'s and
+        random_step_functions(twin, p, 1)'s function."""
         for p in (-2.0, 3.0):
-            assert_same_as_draw(make, p, [count])
-            rng, twin = make(), make()
-            fs = random_step_functions(rng, p, min(count, 40))
-            assert [(list(f.breakpoints), list(f.values)) for f in fs] == [
-                _draw(twin, p) for _ in fs]
-            assert rng.bit_generator.state == twin.bit_generator.state
-        assert passes == [0, 1] * 4
+            m, bps, vals = as_lists(_draws(make(), p, count))
+            for k in range(count):
+                v = sum(m[:k])
+                want = ([m[k]], bps[v + k:v + k + m[k] + 1], vals[v:v + m[k]])
+                twin, lists = make(), make()
+                twin.bit_generator.advance(18 * k)
+                lists.bit_generator.advance(18 * k)
+                assert as_lists(_draws(twin, p, 1)) == want
+                assert listed(random_step_functions(lists, p, 1)) == want
 
     def test_repeated_breakpoint(self):
-        """Three atoms with both breakpoints 0.5: the fast walk takes three
-        values, assembly finds the repeat, and the exact walk takes two,
-        its atom test, then a one-atom function from the cached high half."""
-        words = [word(2 << 29), double_word(0.5), double_word(0.5),
-                 double_word(0.25), double_word(0.75), double_word(0.5),
-                 double_word(0.125), double_word(0.625)]
-        value = np.exp(-3.0 + 6.0 * np.array([0.25, 0.75, 0.125])).tolist()
-        want = ([2, 1], [0.0, 0.5, 1.0, 0.0, 1.0], value)
+        """Three atoms with both breakpoints 0.5 merge into m = 2 intervals:
+        the first two value words, the atom at floor(0.75 * 2) = 1, not
+        floor(0.75 * 3) = 2; the next function starts 18 words on."""
+        words = (function_words(3, [0.5, 0.5], [0.25, 0.75, 0.125], atom=0.75)
+                 + function_words(2, [0.25], [0.5, 0.375]))
+        want = ([2, 2], [0.0, 0.5, 1.0, 0.0, 0.25, 1.0],
+                [exp_values([0.25])[0], 0.0, *exp_values([0.5, 0.375])])
         for draw in (lambda rng: as_lists(_draws(rng, 1.0, 2)),
-                     lambda rng: columns([(list(f.breakpoints), list(f.values))
-                                          for f in random_step_functions(rng, 1.0, 2)])):
-            rng = type("Rng", (), {"bit_generator": Stream(words)})
+                     lambda rng: listed(random_step_functions(rng, 1.0, 2))):
+            rng = streamed(words)
             assert draw(rng) == want
-            assert rng.bit_generator.state == {"pos": 8, "has_uint32": 0,
+            assert rng.bit_generator.state == {"pos": 36, "has_uint32": 0,
                                                "uinteger": 0}
 
     def test_repeated_zero_breakpoint(self):
-        """0.0 twice among the breakpoints is a zero breakpoint, raised by
-        the exact walk with the position just past the breakpoints and the
-        atom-count word's high half cached."""
-        words = [word(3 << 29, 7), 0, 0, double_word(0.5)] + [double_word(0.5)] * 8
-        for draw in (_draws, random_step_functions):
-            rng = type("Rng", (), {"bit_generator": Stream(words)})
-            with pytest.raises(ValueError, match="strictly increasing"):
-                draw(rng, 1.0, 1)
-            assert rng.bit_generator.state == {"pos": 4, "has_uint32": 1,
-                                               "uinteger": 7}
+        """Four atoms with breakpoints 0.0, 0.0 and 0.5 merge into m = 2
+        intervals: the first two value words, the atom at
+        floor(0.625 * 2) = 1, not floor(0.625 * 4) = 2."""
+        words = function_words(4, [0.0, 0.0, 0.5], [0.5, 0.25, 0.75, 0.125],
+                               atom=0.625)
+        want = ([2], [0.0, 0.5, 1.0], [1.0, INF])
+        for draw in (lambda rng: as_lists(_draws(rng, -0.5, 1)),
+                     lambda rng: listed(random_step_functions(rng, -0.5, 1))):
+            rng = streamed(words)
+            assert draw(rng) == want
+            assert rng.bit_generator.state["pos"] == 18
+
+
+N = 200_000
+
+
+@pytest.fixture(scope="module", params=[2.0, -1.0])
+def many(request):
+    """(p, atom, lengths, breakpoints, values) of N functions at p."""
+    p = request.param
+    return (p, 0.0 if p > 0 else INF,
+            *_draws(substreams(2024, 1)[0], p, N))
+
+
+class TestDistribution:
+    def test_atom_counts(self, many):
+        """Each count 1..8 at 1/8, within 0.004: 5.4 binomial standard
+        deviations, sqrt(1/8 * 7/8 / N) = 7.4e-4. A merge (probability
+        below 2^-48 per function) moves none of them here."""
+        m = many[2]
+        freq = np.bincount(m, minlength=9) / N
+        assert freq[0] == 0 and len(freq) == 9
+        assert np.abs(freq[1:] - 1 / 8).max() < 0.004
+
+    def test_atom_rate(self, many):
+        """At most one atom per function, in 0.1 of them within 0.0035: 5.2
+        binomial standard deviations, sqrt(0.1 * 0.9 / N) = 6.7e-4."""
+        _, atom, m, _, values = many
+        atoms = np.bincount(np.repeat(np.arange(N), m)[values == atom],
+                            minlength=N)
+        assert atoms.max() == 1
+        assert abs(atoms.mean() - 0.1) < 0.0035
+
+    def test_value_range(self, many):
+        """Every value is in [e^-3, e^3] or the atom, and each function's
+        breakpoints rise from 0.0 to 1.0."""
+        _, atom, m, bps, values = many
+        assert np.all((values == atom)
+                      | ((values >= np.exp(-3.0)) & (values <= np.exp(3.0))))
+        ends = np.cumsum(m + 1) - 1
+        assert np.all(bps[ends] == 1.0) and np.all(bps[ends - m] == 0.0)
+        assert np.all(np.delete(np.diff(bps), ends[:-1]) > 0)
 
 
 class TestTally:
