@@ -142,11 +142,12 @@ def cmd_table(args):
 def cmd_oracle_compare(args):
     if args.grid < 3:  # interior_grid holds no point below 3
         raise ValueError("--grid must be at least 3, got %d" % args.grid)
-    p = classify(args.p)
-    s, z, cf, ov = suites.oracle_comparison(EnvelopeOracle(p, args.kind, args.n), args.grid)
-    # as in cmd_table: each float formatted once, p and N once per call
-    texts = (map("%.17g".__mod__, c.tolist()) for c in (s, z, cf, ov, np.abs(ov - cf)))
-    rows = map(",".join, zip([fmt(p.p)] * len(s), *texts, ["%d" % args.n] * len(s)))
+    oc = EnvelopeOracle(classify(args.p), args.kind, args.n)
+    s, z, cf = suites.closed_columns(oc, args.grid)  # formatted while the hull builds
+    texts = [list(map("%.17g".__mod__, c.tolist())) for c in (s, z, cf)]
+    ov = oc.evaluate(s, z)
+    texts += (map("%.17g".__mod__, c.tolist()) for c in (ov, np.abs(ov - cf)))
+    rows = map(",".join, zip([fmt(oc.curve.p.p)] * len(s), *texts, ["%d" % args.n] * len(s)))
     return _write_csv(["p,s,z,closed_form,oracle,abs_err,N", *rows], args.out)
 
 

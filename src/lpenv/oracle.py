@@ -57,7 +57,7 @@ class BoundaryCurve:
 _BLOCK_ELEMENTS = 1 << 16
 
 _OPPOSITE = {"concave": "convex", "convex": "concave"}
-_BUILDER = []  # the one thread that builds every hull, started at the first build
+_BUILDER = []  # the two threads that build every hull, started at the first build
 os.register_at_fork(after_in_child=_BUILDER.clear)  # a forked child starts its own
 
 
@@ -78,7 +78,7 @@ class EnvelopeOracle:
         self.kind = kind
         if not _BUILDER:  # concurrent.futures, like scipy, loads at the first build
             from concurrent.futures import ThreadPoolExecutor
-            _BUILDER.append(ThreadPoolExecutor(max_workers=1))
+            _BUILDER.append(ThreadPoolExecutor(max_workers=2))
         self._planes = _BUILDER[0].submit(self._facet_planes, self.curve)  # the build's future
 
     @staticmethod
@@ -122,31 +122,34 @@ class EnvelopeOracle:
         ``s`` and ``z`` broadcast against each other by numpy's rules; the
         result has their broadcast shape, and is a float when both are
         scalars. Each value is the min (concave) or max (convex) over the
-        facet planes. Query points are scanned in blocks of rows x planes
-        that fit two scratch buffers of at most _BLOCK_ELEMENTS elements,
-        so memory stays bounded for any number of points.
+        facet planes, scanned in blocks of points that fit two scratch buffers
+        of _BLOCK_ELEMENTS elements (half that in each half of a split scan).
         """
-        s = np.asarray(s, dtype=float)
-        z = np.asarray(z, dtype=float)
+        s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=float)
         if not (np.all(np.abs(s) <= 1.0 + 1e-12) and np.all(z >= -1e-12)
                 and np.all(s * s + z * z <= 1.0 + 1e-9)):  # NaN fails each test
             raise ValueError("query outside the closed half-disc D")
         s, z = np.broadcast_arrays(s, z)
-        shape = s.shape
-        s, z = s.ravel(), z.ravel()
+        shape, s, z = s.shape, s.ravel(), z.ravel()
         a, b, c = self._planes.result()[self.kind]  # a failed build raises here
         reduce = np.minimum.reduce if self.kind == "concave" else np.maximum.reduce
         rows = max(1, _BLOCK_ELEMENTS // len(a))
-        vals = np.empty((min(rows, s.size), len(a)))
-        terms = np.empty_like(vals)
+        halves = s.size >= 2 * rows and _BUILDER  # a forked child has no workers
+        mid, rows = (s.size // 2, max(1, rows // 2)) if halves else (s.size, rows)
         best = np.empty(s.size)
-        for lo in range(0, s.size, rows):
-            hi = min(lo + rows, s.size)
-            v, t = vals[:hi - lo], terms[:hi - lo]
-            np.multiply(s[lo:hi, None], a, out=v)
-            np.multiply(z[lo:hi, None], b, out=t)
-            v += t
-            v += c
-            reduce(v, axis=1, out=best[lo:hi])
-        return best.reshape(shape) if shape else float(best[0])
 
+        def scan(start, stop):  # best[start:stop]; numpy only, so a worker may run it
+            vals, terms = np.empty((2, min(rows, stop - start), len(a)))
+            for lo in range(start, stop, rows):
+                hi = min(lo + rows, stop)
+                v, t = vals[:hi - lo], terms[:hi - lo]
+                np.multiply(s[lo:hi, None], a, out=v)
+                np.multiply(z[lo:hi, None], b, out=t)
+                v += t
+                v += c
+                reduce(v, axis=1, out=best[lo:hi])
+        second = halves and _BUILDER[0].submit(scan, mid, s.size)
+        scan(0, mid)
+        if second:  # a half that no worker has started (both busy) is the caller's too
+            scan(mid, s.size) if second.cancel() else second.result()
+        return best.reshape(shape) if shape else float(best[0])

@@ -148,28 +148,33 @@ def interior_grid(m=20):
     return np.column_stack((s[keep], z[keep]))
 
 
-def oracle_comparison(oc, m=20):
-    """The columns (s, z, closed form, oracle) over interior_grid(m) for
-    the oracle ``oc`` and the closed-form envelope of its kind."""
+def closed_columns(oc, m=20):
+    """s, z and the closed form of the oracle ``oc``'s kind over interior_grid(m)."""
     s, z = interior_grid(m).T
     _, _, upper, lower, _ = envelope_arrays(oc.curve.p, 1.0 + s, 1.0 - s, z)
-    closed = upper if oc.kind == "concave" else lower
+    return s, z, upper if oc.kind == "concave" else lower
+
+
+def oracle_comparison(oc, m=20):
+    """The columns (s, z, closed form, oracle): closed_columns and the oracle's."""
+    s, z, closed = closed_columns(oc, m)
     return s, z, closed, oc.evaluate(s, z)
 
 
 def oracle_errors(n):
     """Yield (p, kind, err) for each exponent of P_GRID and kind: the largest
     |oracle - closed form| / max(1, |closed form|) (or NaN) over interior_grid()
-    at n nodes. One hull per exponent, built while the one before is compared."""
+    at n nodes. One hull per exponent, built while the two before it are compared."""
     s, z = interior_grid().T
-    ahead = EnvelopeOracle(classify(P_GRID[0]), "concave", n)
+    ahead = [EnvelopeOracle(classify(p_val), "concave", n) for p_val in P_GRID[:2]]
     try:
-        for p_val, p_next in zip(P_GRID, P_GRID[1:] + (None,)):
-            oc = ahead  # the exponent before is let go before the next build is queued
-            ahead = p_next and EnvelopeOracle(classify(p_next), "concave", n)
+        for p_val, p_next in zip(P_GRID, P_GRID[2:] + (None, None)):
+            oc = ahead.pop(0)  # the exponent before is let go before the next build is queued
+            ahead += [EnvelopeOracle(classify(p_next), "concave", n)] if p_next else []
             _, _, upper, lower, _ = envelope_arrays(oc.curve.p, 1.0 + s, 1.0 - s, z)
             for oc, cf in ((oc, upper), (oc.opposite(), lower)):
                 err = np.max(np.abs(oc.evaluate(s, z) - cf) / np.maximum(1.0, np.abs(cf)))
                 yield p_val, oc.kind, float(err)
     finally:  # a closed or failed sweep leaves no build queued
-        ahead and ahead._planes.cancel()
+        for oc in ahead:
+            oc._planes.cancel()

@@ -364,6 +364,7 @@ class TestOracleCompare:
         ("3", "concave", 256, 20), ("-1", "convex", 256, 20),
         ("1.5", "concave", 256, 20), ("3", "concave", 64, 3),
         ("-2", "concave", 256, 13),
+        ("1.5", "concave", 2048, 40),  # a split scan: 1468 points, 32 rows a block
     ])
     def test_matches_row_by_row(self, capsys, p, kind, n, grid):
         code, out, _ = run(capsys, "oracle-compare", "-p", p, "--kind", kind,

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,9 +29,12 @@ def _planes(oc):
 @pytest.fixture(autouse=True)
 def drained_builder():
     """No background build left by an earlier test runs during this one
-    (some tests count or replace qhull calls)."""
+    (some tests count or replace qhull calls): two tasks that can only
+    finish together, at a barrier, show that both workers are idle."""
     if oracle._BUILDER:
-        oracle._BUILDER[0].submit(int).result(timeout=60)
+        both = threading.Barrier(2)
+        for task in [oracle._BUILDER[0].submit(both.wait, 60) for _ in range(2)]:
+            task.result(timeout=60)
 
 
 def _scan(kind, planes, ss, zs):
@@ -217,6 +221,119 @@ class TestBatchedQuery:
         assert len(builds) == (0 if p.p in (1.0, 2.0) else 4)
 
 
+def _peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSplitScan:
+    """A scan of two blocks or more is halved: the second half is handed to
+    the workers, and the caller scans it too when no worker has started it."""
+
+    @staticmethod
+    def _query(oc, blocks):
+        """An odd number of random points of D spanning about ``blocks`` blocks."""
+        rows = oracle._BLOCK_ELEMENTS // len(_planes(oc)[0])
+        rng = np.random.default_rng(17)
+        r = np.sqrt(rng.uniform(0.0, 1.0, blocks * rows + 3))
+        theta = rng.uniform(0.0, np.pi, r.size)
+        return r * np.cos(theta), r * np.sin(theta)
+
+    @staticmethod
+    def _pool(monkeypatch, wait_start):
+        """A two-worker pool in place of the builder; each task it is handed
+        is listed with the thread that ran it, and with ``wait_start`` submit
+        returns only once a worker has started the task."""
+        pool, handed = ThreadPoolExecutor(max_workers=2), []
+
+        class Recording:
+            def submit(self, fn, *args):
+                task, began = [None, None], threading.Event()  # the future, its thread
+
+                def run():
+                    task[1] = threading.current_thread()
+                    began.set()
+                    return fn(*args)
+
+                task[0] = pool.submit(run)
+                handed.append(task)
+                assert not wait_start or began.wait(60)
+                return task[0]
+
+        monkeypatch.setattr(oracle, "_BUILDER", [Recording()])
+        return pool, handed
+
+    @pytest.mark.parametrize("kind", ("concave", "convex"))
+    @pytest.mark.parametrize("blocks", (2, 5))
+    def test_worker_free(self, kind, blocks, monkeypatch):
+        oc = EnvelopeOracle(classify(3), kind, 512)
+        ss, zs = self._query(oc, blocks)
+        pool, handed = self._pool(monkeypatch, wait_start=True)
+        try:
+            got = oc.evaluate(ss, zs)
+        finally:
+            pool.shutdown()
+        assert np.array_equal(got.view(np.uint64), _reference(oc, ss, zs).view(np.uint64))
+        (future, thread), = handed
+        assert future.done() and not future.cancelled()
+        assert thread is not threading.main_thread()
+
+    @pytest.mark.parametrize("kind", ("concave", "convex"))
+    @pytest.mark.parametrize("blocks", (2, 5))
+    def test_both_workers_busy(self, kind, blocks, monkeypatch):
+        """With both workers held, the queued second half is cancelled and
+        scanned by the caller, which returns while the workers still wait.
+        Each half's two buffers are half-size: the caller's two halves, one
+        after the other, peak one _BLOCK_ELEMENTS buffer below an unsplit
+        scan, so two halves at once hold no more scratch than one scan."""
+        oc = EnvelopeOracle(classify(3), kind, 512)
+        ss, zs = self._query(oc, blocks)
+        monkeypatch.setattr(oracle, "_BUILDER", [])  # no workers: one unsplit scan
+        _, unsplit = _peak(oc.evaluate, ss, zs)
+        release, held = threading.Event(), threading.Barrier(3)
+        pool, handed = self._pool(monkeypatch, wait_start=False)
+        try:
+            for _ in range(2):
+                oracle._BUILDER[0].submit(lambda: held.wait(60) + release.wait(60))
+            held.wait(60)
+            got, peak = _peak(oc.evaluate, ss, zs)
+            assert not release.is_set()
+        finally:
+            release.set()
+            pool.shutdown()
+        assert np.array_equal(got.view(np.uint64), _reference(oc, ss, zs).view(np.uint64))
+        assert len(handed) == 3 and handed[2][0].cancelled() and handed[2][1] is None
+        assert peak <= unsplit - 8 * oracle._BLOCK_ELEMENTS + 64 * ss.size
+
+    def test_concurrent_callers(self):
+        """Four callers at once, more than the cores, each splitting its scans
+        over the real workers, with a short switch interval: every value
+        still equals the reference's bits."""
+        oc = EnvelopeOracle(classify(3), "convex", 512)
+        ss, zs = self._query(oc, 5)
+        ref = _reference(oc, ss, zs).view(np.uint64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                got = list(callers.map(lambda _: oc.evaluate(ss, zs), range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g.view(np.uint64), ref) for g in got)
+
+    def test_no_workers(self, monkeypatch):
+        """A forked child has no workers until it builds: it scans both halves."""
+        oc = EnvelopeOracle(classify(3), "concave", 512)
+        ss, zs = self._query(oc, 5)
+        monkeypatch.setattr(oracle, "_BUILDER", [])
+        assert np.array_equal(oc.evaluate(ss, zs).view(np.uint64),
+                              _reference(oc, ss, zs).view(np.uint64))
+
+
 def _hull_planes(oc, hull):
     """(a, b, c) of every facet of ``hull`` of the oracle's kind, unfiltered
     and in qhull's order: the rows the oracle keeps one of each run of."""
@@ -397,7 +514,11 @@ class TestBackgroundBuild:
         assert (out.out, out.err) == ("", "error: %s\n" % _NO_FACET)
 
     def test_only_the_build_leaves_the_main_thread(self, monkeypatch):
-        on_main = {}
+        """Builds run on the workers and the rest of the sweep on the main
+        thread, but for the second half of a scan of two blocks or more
+        (one kind per curved exponent at N = 512): it is handed to the pool
+        and runs on a worker, or on the main thread once cancelled there."""
+        on_main, handed = {}, []
 
         def record(name, fn):
             def wrapper(*args, **kwargs):
@@ -413,19 +534,35 @@ class TestBackgroundBuild:
                             record("closed form", suites.envelope_arrays))
         monkeypatch.setattr(EnvelopeOracle, "_facet_planes", staticmethod(
             record("build", EnvelopeOracle._facet_planes)))
-        assert len(list(suites.oracle_errors(64))) == 2 * len(P_GRID)
+        pool = ThreadPoolExecutor(max_workers=2)
+
+        class Recording:
+            def submit(self, fn, *args):
+                handed.append(fn.__qualname__)
+                if fn.__qualname__ == "EnvelopeOracle.evaluate.<locals>.scan":
+                    fn = record("second half", fn)
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(oracle, "_BUILDER", [Recording()])
+        try:
+            assert len(list(suites.oracle_errors(512))) == 2 * len(P_GRID)
+        finally:
+            pool.shutdown()
+        assert on_main.pop("second half", {False}) == {False}
         assert on_main == {"curve": {True}, "evaluate": {True},
                            "closed form": {True}, "build": {False}}
+        scans = [name for name in handed if name.endswith("<locals>.scan")]
+        assert len(handed) - len(scans) == len(P_GRID) and len(scans) == 9
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_matches_serial_loop(self, n):
         assert repr(list(suites.oracle_errors(n))) == repr(list(_serial_oracle_errors(n)))
 
-    def test_lookahead_is_one_exponent(self, monkeypatch):
-        """At each submission and each yield, at most two exponents' builds
-        are pending or held; the next exponent is submitted before this one
-        is compared."""
-        pool = ThreadPoolExecutor(max_workers=1)
+    def test_lookahead_is_two_exponents(self, monkeypatch):
+        """At each submission and each yield, at most three exponents' builds
+        are pending or held; the next two exponents are submitted before
+        this one is compared."""
+        pool = ThreadPoolExecutor(max_workers=2)
         futures = []
 
         def live():
@@ -435,15 +572,15 @@ class TestBackgroundBuild:
             def submit(self, fn, *args):
                 future = pool.submit(fn, *args)
                 futures.append(weakref.ref(future))
-                assert live() <= 2
+                assert live() <= 3
                 return future
 
         monkeypatch.setattr(oracle, "_BUILDER", [Counting()])
         try:
             for i, (p_val, _, _) in enumerate(suites.oracle_errors(64)):
                 assert p_val == P_GRID[i // 2]
-                assert len(futures) == min(i // 2 + 2, len(P_GRID))
-                assert live() <= 2
+                assert len(futures) == min(i // 2 + 3, len(P_GRID))
+                assert live() <= 3
         finally:
             pool.shutdown()
         assert len(futures) == len(P_GRID)
@@ -451,8 +588,8 @@ class TestBackgroundBuild:
     @pytest.mark.parametrize("stop", ["close", "raise"])
     def test_a_stopped_sweep_cancels_the_queued_build(self, stop, monkeypatch):
         """A sweep closed after its first row, or failing at its first
-        evaluate, cancels the next exponent's build, queued behind a task
-        that holds the worker."""
+        evaluate, cancels every queued build: the next two exponents',
+        each queued behind a task that holds the worker."""
         pool, release, futures = ThreadPoolExecutor(max_workers=1), threading.Event(), []
         facet_planes = EnvelopeOracle._facet_planes
 
@@ -478,7 +615,7 @@ class TestBackgroundBuild:
             else:
                 with pytest.raises(ValueError, match=_NO_FACET):
                     next(sweep)
-            assert len(futures) == 2 and futures[1].cancelled()
+            assert len(futures) == 3 and all(f.cancelled() for f in futures[1:])
         finally:
             release.set()
             pool.shutdown()
