@@ -2,7 +2,7 @@
 
 Subcommands: bound, extremal, verify, table, oracle-compare. All floating
 output is printed with 17 significant digits; exit status is 0 on pass,
-1 on an inequality/suite violation, 2 on invalid input or an overflow.
+1 on an inequality/suite violation, 2 on invalid input, overflow or MemoryError.
 """
 
 import argparse
@@ -197,7 +197,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -30,9 +30,9 @@ def boundary_value(p, s):
 class BoundaryCurve:
     """Discretized boundary data of the half-disc D.
 
-    n nodes uniform in angle on the semicircle, the two diameter
-    endpoints, and n//4 interior diameter nodes (value x+y = 2 for p > 0
-    and 0 for p < 0, the +inf conventions pre-applied).
+    n nodes uniform in angle on the semicircle and the two diameter endpoints
+    (value x+y = 2 for p > 0 and 0 for p < 0, the +inf conventions pre-applied);
+    the data is constant along the diameter, so no node inside it is a vertex.
     """
 
     def __init__(self, p, n):
@@ -40,17 +40,11 @@ class BoundaryCurve:
             raise ValueError("resolution must be at least 16")
         theta = np.pi * (np.arange(1, n + 1)) / (n + 1)
         semi_s = np.cos(theta)
-        semi_z = np.sin(theta)
-        semi_v = boundary_value(p, semi_s)
-        diam_s = np.concatenate(([-1.0, 1.0], np.linspace(-1.0, 1.0, n // 4 + 2)[1:-1]))
-        diam_z = np.zeros_like(diam_s)
-        diam_v = np.full_like(diam_s, 2.0 if p.p > 0 else 0.0)
+        end_v = 2.0 if p.p > 0 else 0.0
         self.p = p
         self.n = n
-        self.nodes = np.column_stack(
-            (np.concatenate((semi_s, diam_s)), np.concatenate((semi_z, diam_z)))
-        )
-        self.values = np.concatenate((semi_v, diam_v))
+        self.nodes = np.column_stack((np.r_[semi_s, -1.0, 1.0], np.r_[np.sin(theta), 0.0, 0.0]))
+        self.values = np.r_[boundary_value(p, semi_s), end_v, end_v]
 
 
 # Elements in each of evaluate's two scratch buffers (8 bytes apiece).
@@ -124,6 +118,8 @@ class EnvelopeOracle:
         scalars. Each value is the min (concave) or max (convex) over the
         facet planes, scanned in blocks of points that fit two scratch buffers
         of _BLOCK_ELEMENTS elements (half that in each half of a split scan).
+        Each scanning thread also holds numpy's ufunc buffer, about 130 KB, so
+        a split scan holds it twice.
         """
         s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=float)
         if not (np.all(np.abs(s) <= 1.0 + 1e-12) and np.all(z >= -1e-12)

@@ -155,22 +155,16 @@ def closed_columns(oc, m=20):
     return s, z, upper if oc.kind == "concave" else lower
 
 
-def oracle_comparison(oc, m=20):
-    """The columns (s, z, closed form, oracle): closed_columns and the oracle's."""
-    s, z, closed = closed_columns(oc, m)
-    return s, z, closed, oc.evaluate(s, z)
-
-
 def oracle_errors(n):
     """Yield (p, kind, err) for each exponent of P_GRID and kind: the largest
     |oracle - closed form| / max(1, |closed form|) (or NaN) over interior_grid()
-    at n nodes. One hull per exponent, built while the two before it are compared."""
+    at n nodes. Every exponent's hull is queued at once, in P_GRID order, and
+    the workers build them while the ones before are compared."""
     s, z = interior_grid().T
-    ahead = [EnvelopeOracle(classify(p_val), "concave", n) for p_val in P_GRID[:2]]
+    ahead = [EnvelopeOracle(classify(p_val), "concave", n) for p_val in P_GRID]
     try:
-        for p_val, p_next in zip(P_GRID, P_GRID[2:] + (None, None)):
-            oc = ahead.pop(0)  # the exponent before is let go before the next build is queued
-            ahead += [EnvelopeOracle(classify(p_next), "concave", n)] if p_next else []
+        for p_val in P_GRID:
+            oc = ahead.pop(0)  # each exponent's hull is let go once compared
             _, _, upper, lower, _ = envelope_arrays(oc.curve.p, 1.0 + s, 1.0 - s, z)
             for oc, cf in ((oc, upper), (oc.opposite(), lower)):
                 err = np.max(np.abs(oc.evaluate(s, z) - cf) / np.maximum(1.0, np.abs(cf)))

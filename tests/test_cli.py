@@ -351,7 +351,9 @@ class TestTable:
 def ref_oracle_compare(p_val, kind, n, grid):
     """The oracle-compare CSV row by row: each row's floats through fmt."""
     p = classify(p_val)
-    cols = suites.oracle_comparison(EnvelopeOracle(p, kind, n), grid)
+    oc = EnvelopeOracle(p, kind, n)
+    ss, zs, closed = suites.closed_columns(oc, grid)
+    cols = (ss, zs, closed, oc.evaluate(ss, zs))
     rows = ["p,s,z,closed_form,oracle,abs_err,N"]
     for s, z, cf, ov in zip(*(c.tolist() for c in cols)):
         rows.append(",".join(
@@ -416,6 +418,22 @@ class TestOracleCompare:
                            "--grid", "3")
         assert code == 0
         assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "oracle", "--n", "1000000000000000"],
+    ["oracle-compare", "-p", "3", "--n", "1000000000000000"],
+    ["verify", "pair", "--samples", "100000000000000000"],
+], ids=["verify-oracle", "oracle-compare", "verify-pair"])
+def test_impossible_allocation_exit2(capsys, argv):
+    """A request whose first array exceeds 2^47 bytes, a 47-bit address
+    space, is exit 2 with numpy's message, not a traceback's 1; the
+    allocation fails at once, so no memory is touched. (verify sum draws one
+    sum at a time, so a huge --samples runs instead of failing.)"""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 def test_import_leaves_out_scipy_spatial():

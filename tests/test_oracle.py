@@ -1,4 +1,5 @@
 import ast
+import copy
 import math
 import os
 import pathlib
@@ -6,7 +7,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,7 +17,7 @@ from lpenv import oracle, suites
 from lpenv.cli import main
 from lpenv.envelopes import ConeTriple, classify, lower_envelope, upper_envelope
 from lpenv.oracle import BoundaryCurve, EnvelopeOracle, boundary_value
-from lpenv.suites import P_GRID, interior_grid, oracle_comparison
+from lpenv.suites import P_GRID, closed_columns, interior_grid
 
 from empirical import empirical_B
 
@@ -50,10 +50,18 @@ def _reference(oc, ss, zs):
     return _scan(oc.kind, _planes(oc), ss, zs)
 
 
+def _max_rel_err(oc):
+    """The largest |oracle - closed form| / max(1, |closed form|) over
+    interior_grid(), through closed_columns and evaluate."""
+    s, z, cf = closed_columns(oc)
+    return float(np.max(np.abs(oc.evaluate(s, z) - cf) / np.maximum(1.0, np.abs(cf))))
+
+
 class TestBoundaryCurve:
     def test_node_counts(self):
         c = BoundaryCurve(classify(3), 64)
-        assert len(c.values) == 64 + 2 + 16
+        assert len(c.values) == len(c.nodes) == 64 + 2
+        assert c.nodes[64:].tolist() == [[-1.0, 0.0], [1.0, 0.0]]
 
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):
@@ -84,6 +92,50 @@ class TestBoundaryCurve:
         semi_s = c.nodes[:n, 0]
         loop = np.array([boundary_value(p, s) for s in semi_s])
         assert np.array_equal(c.values[:n].view(np.uint64), loop.view(np.uint64))
+
+
+def _with_interior_diameter(curve):
+    """A copy of ``curve`` with the n//4 interior diameter nodes the curve
+    once carried after its endpoints, valued as the endpoints are."""
+    s = np.linspace(-1.0, 1.0, curve.n // 4 + 2)[1:-1]
+    wide = copy.copy(curve)
+    wide.nodes = np.concatenate((curve.nodes, np.column_stack((s, np.zeros_like(s)))))
+    wide.values = np.concatenate((curve.values, np.full_like(s, curve.values[-1])))
+    return wide
+
+
+def _sorted_rows(planes):
+    """The plane rows (a, b, c) as int64 bits, sorted lexicographically."""
+    rows = np.column_stack(planes).view(np.int64)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+class TestEndpointDiameter:
+    """Interior diameter nodes are collinear, with the endpoints' value, so
+    they lie on a hull edge and are never vertices: without them every
+    curved exponent's planes are the same bits, and the flat fit moves in
+    its last bits only."""
+
+    @pytest.mark.parametrize("p_val", tuple(p for p in P_GRID if p not in (1.0, 2.0))
+                             + (-4.0, -0.05, 0.05, 7.5, 10.0, 26.0))
+    @pytest.mark.parametrize("n", (64, 512, 2048))
+    def test_same_planes(self, p_val, n):
+        curve = BoundaryCurve(classify(p_val), n)
+        mine = EnvelopeOracle._facet_planes(curve)
+        wide = EnvelopeOracle._facet_planes(_with_interior_diameter(curve))
+        for kind in ("concave", "convex"):
+            assert np.array_equal(_sorted_rows(mine[kind]), _sorted_rows(wide[kind]))
+
+    @pytest.mark.parametrize("p_val", (1.0, 2.0))
+    @pytest.mark.parametrize("n", (64, 512, 2048))
+    def test_flat_plane_within_1e15(self, p_val, n):
+        curve = BoundaryCurve(classify(p_val), n)
+        s, z = interior_grid(20).T
+        (a, b, c), (wa, wb, wc) = (
+            EnvelopeOracle._facet_planes(cv)["concave"]
+            for cv in (curve, _with_interior_diameter(curve)))
+        mine, wide = a * s + b * z + c, wa * s + wb * z + wc
+        assert np.max(np.abs(mine - wide) / np.abs(wide)) <= 1e-15
 
 
 class TestOracleEnvelope:
@@ -435,9 +487,7 @@ class TestCeiling:
         errs = []
         for n in (512, 2048, 8192):
             concave = EnvelopeOracle(classify(26.5), "concave", n)
-            errs.append(max(np.max(np.abs(ov - cf) / np.maximum(1.0, np.abs(cf)))
-                            for _, _, cf, ov in map(oracle_comparison,
-                                                    (concave, concave.opposite()))))
+            errs.append(max(map(_max_rel_err, (concave, concave.opposite()))))
         assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-5, errs
 
 
@@ -463,12 +513,12 @@ class TestComparisonColumns:
     def test_closed_column_matches_scalar_forms(self, p_val, kind):
         p = classify(p_val)
         oc = EnvelopeOracle(p, kind, 64)
-        s, z, closed, ov = oracle_comparison(oc, 20)
+        s, z, closed = closed_columns(oc, 20)
+        assert np.array_equal(np.column_stack((s, z)), interior_grid(20))
         scalar = upper_envelope if kind == "concave" else lower_envelope
         assert repr(closed.tolist()) == repr(
             [scalar(p, ConeTriple(1.0 + a, 1.0 - a, b))
              for a, b in zip(s.tolist(), z.tolist())])
-        assert np.array_equal(ov, oc.evaluate(s, z))
 
 
 _NO_FACET = "qhull resolves no concave facet at p = 40.0, n = 64"
@@ -476,13 +526,12 @@ _NO_FACET = "qhull resolves no concave facet at p = 40.0, n = 64"
 
 def _serial_oracle_errors(n):
     """oracle_errors as one loop over P_GRID: each exponent's hull built and
-    waited for, then both kinds compared through oracle_comparison."""
+    waited for, then both kinds compared by _max_rel_err."""
     for p_val in P_GRID:
         concave = EnvelopeOracle(classify(p_val), "concave", n)
         _planes(concave)
         for oc in (concave, concave.opposite()):
-            _, _, cf, ov = oracle_comparison(oc)
-            yield p_val, oc.kind, float(np.max(np.abs(ov - cf) / np.maximum(1.0, np.abs(cf))))
+            yield p_val, oc.kind, _max_rel_err(oc)
 
 
 class TestBackgroundBuild:
@@ -558,38 +607,32 @@ class TestBackgroundBuild:
     def test_matches_serial_loop(self, n):
         assert repr(list(suites.oracle_errors(n))) == repr(list(_serial_oracle_errors(n)))
 
-    def test_lookahead_is_two_exponents(self, monkeypatch):
-        """At each submission and each yield, at most three exponents' builds
-        are pending or held; the next two exponents are submitted before
-        this one is compared."""
-        pool = ThreadPoolExecutor(max_workers=2)
-        futures = []
+    def test_every_build_is_queued_before_the_first_row(self, monkeypatch):
+        """All of P_GRID's builds are submitted, in P_GRID order, before the
+        sweep yields its first row, and no other build after it."""
+        pool, submitted = ThreadPoolExecutor(max_workers=2), []
 
-        def live():
-            return sum(ref() is not None for ref in futures)
-
-        class Counting:
+        class Recording:
             def submit(self, fn, *args):
-                future = pool.submit(fn, *args)
-                futures.append(weakref.ref(future))
-                assert live() <= 3
-                return future
+                submitted.append(args[0].p.p if fn is EnvelopeOracle._facet_planes else fn)
+                return pool.submit(fn, *args)
 
-        monkeypatch.setattr(oracle, "_BUILDER", [Counting()])
+        monkeypatch.setattr(oracle, "_BUILDER", [Recording()])
         try:
-            for i, (p_val, _, _) in enumerate(suites.oracle_errors(64)):
-                assert p_val == P_GRID[i // 2]
-                assert len(futures) == min(i // 2 + 3, len(P_GRID))
-                assert live() <= 3
+            sweep = suites.oracle_errors(64)
+            assert next(sweep)[:2] == (P_GRID[0], "concave")
+            assert submitted == list(P_GRID)
+            rows = list(sweep)
         finally:
             pool.shutdown()
-        assert len(futures) == len(P_GRID)
+        assert submitted == list(P_GRID)
+        assert [row[0] for row in rows] == [p for p in P_GRID for _ in range(2)][1:]
 
     @pytest.mark.parametrize("stop", ["close", "raise"])
     def test_a_stopped_sweep_cancels_the_queued_build(self, stop, monkeypatch):
         """A sweep closed after its first row, or failing at its first
-        evaluate, cancels every queued build: the next two exponents',
-        each queued behind a task that holds the worker."""
+        evaluate, cancels every build not yet started: every exponent's but
+        the first, each queued behind a task that holds the worker."""
         pool, release, futures = ThreadPoolExecutor(max_workers=1), threading.Event(), []
         facet_planes = EnvelopeOracle._facet_planes
 
@@ -615,7 +658,7 @@ class TestBackgroundBuild:
             else:
                 with pytest.raises(ValueError, match=_NO_FACET):
                     next(sweep)
-            assert len(futures) == 3 and all(f.cancelled() for f in futures[1:])
+            assert len(futures) == len(P_GRID) and all(f.cancelled() for f in futures[1:])
         finally:
             release.set()
             pool.shutdown()
