@@ -66,8 +66,8 @@ class EnvelopeOracle:
     def __init__(self, p, kind, n=512):
         if kind not in _OPPOSITE:
             raise ValueError("kind must be 'concave' or 'convex'")
-        if p.p > 26.5:  # qhull's precision follows 2^p: above it, error stops falling in n
-            raise ValueError("the oracle converges only for p <= 26.5, got p = %r" % p.p)
+        if not -21.0 <= p.p <= 26.5:  # the values scale as 2^p: outside, error stops falling in n
+            raise ValueError("the oracle converges only for -21 <= p <= 26.5, got p = %r" % p.p)
         self.curve = BoundaryCurve(p, n)
         self.kind = kind
         if not _BUILDER:  # concurrent.futures, like scipy, loads at the first build
@@ -80,12 +80,12 @@ class EnvelopeOracle:
         """{kind: (a, b, c)}, the distinct planes v = a*s + b*z + c of that
         kind's facets, each column a contiguous array."""
         pts = np.column_stack((curve.nodes, curve.values))
-        # Flat data (p = 1, 2) breaks qhull: exactly coplanar points take
-        # their least-squares plane, the envelope of both kinds.
+        # Flat data (p = 1, 2) breaks qhull: points coplanar to 1e-9 of max|v| (below
+        # 5e-7 at p = -21) take their least-squares plane, the envelope of both kinds.
         coeff = np.linalg.lstsq(np.column_stack((pts[:, :2], np.ones(len(pts)))), pts[:, 2],
                                 rcond=None)[0]
         fitted = pts[:, :2] @ coeff[:2] + coeff[2]
-        if np.max(np.abs(fitted - pts[:, 2])) < 1e-9 * max(1.0, np.max(np.abs(pts[:, 2]))):
+        if np.max(np.abs(fitted - pts[:, 2])) < 1e-9 * np.max(np.abs(pts[:, 2])):
             return dict.fromkeys(_OPPOSITE, tuple(np.array([c]) for c in coeff))
         from scipy.spatial import QhullError  # loaded with qhull itself
         try:

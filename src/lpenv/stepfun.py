@@ -144,20 +144,11 @@ def overlap_norm(f, g, p):
     return _overlap_integral(*refine(f, g), p)
 
 
-def _cone_point(x, y, z):
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(
-            "norms must be finite to form a cone point, got (%r, %r, %r)"
-            % (x, y, z)
-        )
-    return ConeTriple(x, y, z)
-
-
 def triple_of_pair(f, g, p):
     """The cone point (|f|_p^p, |g|_p^p, |fg|_{p/2}^{p/2}) of a pair, by the list kernels."""
     fb, fv, gb, gv = f.breakpoints, f.values, g.breakpoints, g.values
-    return _cone_point(_integral(fb, fv, p), _integral(gb, gv, p),
-                       _overlap_integral(*_refine(fb, fv, gb, gv), p))
+    return ConeTriple(_integral(fb, fv, p), _integral(gb, gv, p),
+                      _overlap_integral(*_refine(fb, fv, gb, gv), p))
 
 
 def sum_norm(f, g, p):
@@ -201,5 +192,5 @@ def sum_and_report(f, g, p):
     for the Exponent ``p``; one refinement serves the overlap and the sum."""
     merged, rf, rg = _refine(f.breakpoints, f.values, g.breakpoints, g.values)
     x, y = (_integral(h.breakpoints, h.values, p.p) for h in (f, g))
-    t = _cone_point(x, y, _overlap_integral(merged, rf, rg, p.p))
+    t = ConeTriple(x, y, _overlap_integral(merged, rf, rg, p.p))
     return BoundReport.at(p, t, _sum_integral(merged, rf, rg, p.p))

@@ -89,6 +89,24 @@ class TestBound:
         assert out == ""
         assert err == "error: give x y z or --files F G, not both\n"
 
+    def test_short_triple_exit2(self, capsys):
+        code, out, err = run(capsys, "bound", "-p", "3", "1", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: need x y z or --files F G\n"
+
+    def test_infinite_norm_exit2(self, tmp_path, capsys):
+        """f = (1, +inf) on [0, 1/2), [1/2, 1]: |f|_2^2 is +inf, and the
+        message names the field that ConeTriple rejects."""
+        fp = tmp_path / "f.json"
+        gp = tmp_path / "g.json"
+        fp.write_text(StepFunction((0.0, 0.5, 1.0), (1.0, math.inf)).to_json())
+        gp.write_text(StepFunction.constant(2.0).to_json())
+        code, out, err = run(capsys, "bound", "-p", "2", "--files", str(fp), str(gp))
+        assert code == 2
+        assert out == ""
+        assert err == "error: x must be a finite nonnegative real, got inf\n"
+
     def test_malformed_json_exit2(self, tmp_path, capsys):
         fp = tmp_path / "f.json"
         fp.write_text("{not json")
@@ -411,7 +429,17 @@ class TestOracleCompare:
                              "--n", "64", "--grid", "3")
         assert code == 2
         assert out == ""
-        assert err == "error: the oracle converges only for p <= 26.5, got p = %s.0\n" % p
+        assert err == "error: the oracle converges only for -21 <= p <= 26.5, got p = %s.0\n" % p
+
+    @pytest.mark.parametrize("p", ["-25", "-30", "-100"])
+    def test_below_floor_exit2(self, capsys, p):
+        """Below p = -21 the boundary values are too small for the hull to
+        resolve: the exit is 2 with a message naming p and the range."""
+        code, out, err = run(capsys, "oracle-compare", "-p", p, "--n", "64",
+                             "--grid", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the oracle converges only for -21 <= p <= 26.5, got p = %s.0\n" % p
 
     def test_smallest_grid(self, capsys):
         code, out, _ = run(capsys, "oracle-compare", "-p", "3", "--n", "64",

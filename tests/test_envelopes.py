@@ -326,6 +326,11 @@ class TestTwoPoint:
                 else:
                     assert lhs >= rhs - slack, (q, x)
 
+    @pytest.mark.parametrize("x", [1.5, -0.5, math.nan])
+    def test_rejects_x_outside_unit_interval(self, x):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got %s$" % x):
+            two_point(0.5, x)
+
     def test_reference(self):
         for q in (-2.0, 0.3, 0.75, 4.0):
             for x in (0.1, 0.5, 0.9):
@@ -345,6 +350,11 @@ class TestScalarThreeTerm:
     def test_degenerate(self):
         lhs, rhs = scalar_three_term(1.0, 0.0, classify(1.5))
         assert lhs == 1.0 and rhs == 1.0
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_rejects_negative(self, a, b):
+        with pytest.raises(ValueError, match="^a and b must be nonnegative$"):
+            scalar_three_term(a, b, classify(1.5))
 
     def test_direction_between_1_and_2(self):
         lhs, rhs = scalar_three_term(2.0, 1.0, classify(1.5))
@@ -375,6 +385,12 @@ class TestSumBound:
     def test_rejects_negative_p(self):
         with pytest.raises(ValueError):
             sum_bound([1.0], 0.0, classify(-1))
+
+    @pytest.mark.parametrize("moments, overlaps", [
+        ([1.0, math.inf], 0.0), ([1.0, 4.0], math.nan), ([1.0, 4.0], math.inf)])
+    def test_rejects_non_finite_sums(self, moments, overlaps):
+        with pytest.raises(ValueError, match="^both sums must be finite$"):
+            sum_bound(moments, overlaps, classify(2))
 
     def test_counterexample_values(self):
         # the p = -1 three-constant counterexample's right-hand side

@@ -481,7 +481,8 @@ class TestCeiling:
     def test_above_is_value_error(self, p_val):
         with pytest.raises(ValueError) as err:
             EnvelopeOracle(classify(p_val), "concave", 64)
-        assert str(err.value) == "the oracle converges only for p <= 26.5, got p = %r" % p_val
+        assert str(err.value) == (
+            "the oracle converges only for -21 <= p <= 26.5, got p = %r" % p_val)
 
     def test_error_falls_with_n_at_ceiling(self):
         errs = []
@@ -489,6 +490,45 @@ class TestCeiling:
             concave = EnvelopeOracle(classify(26.5), "concave", n)
             errs.append(max(map(_max_rel_err, (concave, concave.opposite()))))
         assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-5, errs
+
+
+def _rel_errs(p_val, n):
+    """|oracle - closed form| / |closed form| at its largest over
+    interior_grid(), for the concave and the convex oracle at n nodes. Below
+    p = 0 every value is under 1, so max(1, |closed form|) would read an
+    absolute error."""
+    concave = EnvelopeOracle(classify(p_val), "concave", n)
+    errs = []
+    for oc in (concave, concave.opposite()):
+        s, z, cf = closed_columns(oc)
+        errs.append(float(np.max(np.abs(oc.evaluate(s, z) - cf) / np.abs(cf))))
+    return errs
+
+
+class TestFloor:
+    """Below p = -21 the boundary values (at most 2^p) are too small for
+    qhull's precision: the error stops falling as n doubles (at p = -22 the
+    concave error reads 2.6e-8 at n = 4096 and 2.7e-8 at 8192)."""
+
+    @pytest.mark.parametrize("p_val", [math.nextafter(-21.0, -math.inf), -21.5, -25.0,
+                                       -30.0, -100.0])
+    def test_below_is_value_error(self, p_val):
+        with pytest.raises(ValueError) as err:
+            EnvelopeOracle(classify(p_val), "concave", 64)
+        assert str(err.value) == (
+            "the oracle converges only for -21 <= p <= 26.5, got p = %r" % p_val)
+
+    def test_tiny_values_are_not_flat(self):
+        """At p = -25 every node value is below 3e-8 and the least-squares
+        residual is below 1e-9: the flatness test is relative to the
+        largest value, so the curved data still gets its hull's planes."""
+        planes = EnvelopeOracle._facet_planes(BoundaryCurve(classify(-25), 512))
+        assert all(len(planes[kind][0]) > 1 for kind in ("concave", "convex"))
+
+    def test_error_falls_with_n_at_floor(self):
+        errs = [_rel_errs(-21.0, n) for n in (512, 2048, 8192)]
+        for kind in zip(*errs):
+            assert list(kind) == sorted(kind, reverse=True) and kind[-1] < 1e-5, errs
 
 
 def _grid_loop(m, margin=0.02):

@@ -10,9 +10,9 @@ from lpenv.envelopes import ConeTriple, classify
 from lpenv.extremal import extremal_F, extremal_G
 from lpenv.powers import INF, xpow
 from lpenv.sampling import _draws, random_pair, substreams
-from lpenv.stepfun import (StepFunction, _cone_point, overlap_norm,
-                           pair_norms, pth_power_norm, refine, sum_and_report,
-                           sum_norm, triple_of_pair)
+from lpenv.stepfun import (StepFunction, overlap_norm, pair_norms,
+                           pth_power_norm, refine, sum_and_report, sum_norm,
+                           triple_of_pair)
 from lpenv.suites import P_GRID
 from reference_draw import columns
 
@@ -39,6 +39,10 @@ class TestConstruction:
         g = StepFunction.from_json(f.to_json())
         assert g == f
         assert '"inf"' in f.to_json()
+
+    def test_repr(self):
+        assert repr(StepFunction((0, 0.5, 1), (2, INF))) == (
+            "StepFunction([0.0, 0.5, 1.0], [2.0, inf])")
 
 
 class TestNorms:
@@ -131,6 +135,29 @@ class TestTripleOfPair:
         f = chi(0.0, 0.5, 2.0)  # zero on half the interval
         with pytest.raises(ValueError):
             triple_of_pair(f, f, -1.0)
+
+    @pytest.mark.parametrize("p, f, g, name", [
+        # a +inf block at p > 0
+        (2.0, StepFunction((0.0, 0.5, 1.0), (1.0, INF)), StepFunction.constant(2.0), "x"),
+        (2.0, StepFunction.constant(2.0), StepFunction((0.0, 0.5, 1.0), (1.0, INF)), "y"),
+        # f * g = 1e320 overflows to +inf while |f|_1 and |g|_1 are finite
+        (1.0, StepFunction.constant(1e160), StepFunction.constant(1e160), "z"),
+        # a 0 block at p < 0
+        (-1.0, chi(0.0, 0.5, 2.0), StepFunction.constant(1.0), "x"),
+        (-1.0, StepFunction.constant(1.0), chi(0.0, 0.5, 2.0), "y"),
+        # f * g = 1e-400 underflows to 0 while |f|_-1 and |g|_-1 are finite
+        (-1.0, StepFunction.constant(1e-200), StepFunction.constant(1e-200), "z"),
+    ], ids=["inf-block-x", "inf-block-y", "product-overflow-z", "zero-block-x",
+            "zero-block-y", "product-underflow-z"])
+    def test_names_the_infinite_norm(self, p, f, g, name):
+        """ConeTriple alone checks the norms: the message names the first
+        infinite one, from triple_of_pair and sum_and_report alike."""
+        want = "%s must be a finite nonnegative real, got inf" % name
+        with pytest.raises(ValueError) as ref:
+            triple_of_pair(f, g, p)
+        with pytest.raises(ValueError) as got:
+            sum_and_report(f, g, classify(p))
+        assert str(ref.value) == str(got.value) == want
 
     def test_cauchy_schwarz_randomized(self):
         rngs = substreams(123, 6)
@@ -242,7 +269,7 @@ def assert_pair_norms(pairs, p):
                 overlap_norm(a, b, p), sum_norm(a, b, p)]
         assert repr(got) == repr(want), (p, a, b)
         if all(map(math.isfinite, got[:3])):
-            assert repr(_cone_point(*got[:3])) == repr(
+            assert repr(ConeTriple(*got[:3])) == repr(
                 triple_of_pair(a, b, p)), (p, a, b)
 
 
