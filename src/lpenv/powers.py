@@ -42,18 +42,17 @@ def xpow(base, expo):
 
 
 def xpow_array(base, expo):
-    """xpow over a 1-d float array, bit for bit: math.pow (libm's pow, as **
-    uses) on the finite positive entries, xpow itself on the others."""
+    """xpow over a 1-d float array, bit for bit, in any numpy error state:
+    np.float_power (libm's pow, as ** calls it; np.power's SIMD loops move
+    last bits) on the finite positive entries, xpow itself on the others."""
     fast = (base > 0.0) & (base < INF)
     out = np.empty_like(base)
     out[~fast] = [xpow(b, expo) for b in base[~fast].tolist()]
-    bases = base[fast].tolist()
-    try:
-        out[fast] = list(map(math.pow, bases, [expo] * len(bases)))
-    except OverflowError:
-        for b in bases:
+    with np.errstate(over="ignore", under="ignore"):
+        out[fast] = vals = np.float_power(base[fast], expo)
+    if np.isinf(vals).any():  # a finite positive base overflowed
+        for b in base[fast].tolist():
             xpow(b, expo)  # raises xpow's OverflowError, naming the power
-        raise
     return out
 
 

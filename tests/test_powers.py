@@ -71,8 +71,10 @@ def outcomes(fn, bases, expo):
 BASES = np.exp(np.random.default_rng(8).uniform(-740.0, 709.0, 100_000)).tolist()
 BASES += [0.0, INF, math.nan, -1.0]
 # zero, fractional, negative and integral exponents; -2, 3 and -1000
-# overflow on part of the bases
-POWERS = [0.0, 0.5, 2.0 / 3.0, 1.0 / 1.7, -2.0, 3.0, -1000.0]
+# overflow on part of the bases. 1.3 to 5.0 are values of p, p / 2 and 1 / p
+# that the pair sweep and the envelopes pass at P_GRID's exponents
+POWERS = [0.0, 0.5, 2.0 / 3.0, 1.0 / 1.7, -2.0, 3.0, -1000.0,
+          1.3, 0.65, 1.0 / 1.3, -0.25, 2.5, 5.0]
 
 
 @pytest.mark.parametrize("expo", POWERS)
@@ -93,6 +95,20 @@ class TestXpow:
         with pytest.raises(ValueError) as exc:
             xpow_array(np.array([2.0, -1.0]), expo)
         assert "ValueError: %s" % exc.value == outcomes(xpow, [-1.0], expo)[1][0]
+
+    def test_array_ignores_callers_error_state(self, expo):
+        """Under np.errstate(all="raise") an underflow stays a value and an
+        overflow stays xpow's named OverflowError."""
+        bases = BASES[:-4:25] + BASES[-4:-1]  # 4000 bases, 0, +inf, NaN
+        bits, errors = outcomes(xpow, bases, expo)
+        kept = [i for i in range(len(bases)) if i not in errors]
+        with np.errstate(all="raise"):
+            got = xpow_array(np.array(bases)[kept], expo)
+            assert got.view(np.uint64).tolist() == [bits[i] for i in kept]
+            if errors:
+                with pytest.raises(OverflowError) as exc:
+                    xpow_array(np.array(bases), expo)
+                assert "OverflowError: %s" % exc.value == errors[min(errors)]
 
 
 def ref_F(p, t):

@@ -394,7 +394,8 @@ class TestPairNorms:
     @pytest.mark.parametrize("p, f, g", [
         (-1.0, chi(0.0, 0.5, 2.0), StepFunction.constant(1.0)),  # x = +inf
         (-0.5, StepFunction.constant(1.0), chi(0.25, 1.0, 3.0)),  # y = +inf
-        # inf * 0 counts as +inf, not nan, in the z the error message shows
+        # inf * 0 counts as +inf, not nan, in z; the message names the first
+        # infinite field, y here and x for (g, f) (x and y at p = 2)
         (-1.0, StepFunction((0.0, 0.5, 1.0), (INF, 2.0)),
          StepFunction((0.0, 0.5, 1.0), (0.0, 1.0))),
         (2.0, StepFunction((0.0, 0.5, 1.0), (INF, 2.0)),
