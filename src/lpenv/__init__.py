@@ -1,8 +1,7 @@
 """Sharp L^p triangle-inequality envelopes between L^2 and L^p."""
 
 from .envelopes import (BoundReport, ConeTriple, Exponent, carlen_bound,
-                        classify, eval_F, eval_G, lower_envelope,
-                        scalar_three_term, sum_bound, two_point,
+                        classify, eval_F, eval_G, lower_envelope, sum_bound,
                         upper_envelope)
 from .extremal import extremal_F, extremal_G
 from .oracle import BoundaryCurve, EnvelopeOracle
@@ -13,8 +12,8 @@ __all__ = [
     "BoundReport", "BoundaryCurve", "ConeTriple", "EnvelopeOracle",
     "Exponent", "StepFunction", "carlen_bound", "classify", "eval_F",
     "eval_G", "extremal_F", "extremal_G", "lower_envelope", "overlap_norm",
-    "pth_power_norm", "refine", "scalar_three_term", "sum_and_report",
-    "sum_bound", "sum_norm", "triple_of_pair", "two_point", "upper_envelope",
+    "pth_power_norm", "refine", "sum_and_report", "sum_bound", "sum_norm",
+    "triple_of_pair", "upper_envelope",
 ]
 
 __version__ = "0.1.0"

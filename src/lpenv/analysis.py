@@ -1,5 +1,5 @@
 """Sign-analysis functions behind the concavity/convexity claims,
-plus the torsion of the boundary space curve.
+plus the torsion of the boundary space curve in closed form.
 
 The sign tables these produce certify numerically which of the two
 closed-form envelopes is concave and which is convex in each exponent
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import boundary_value
 from .powers import fan_power, xpow
 
 # Values below this magnitude count as exact zeros in sign tables.
@@ -91,28 +90,6 @@ def sign_of(value, tol=ZERO_TOL):
     return sign if sign.ndim else int(sign)
 
 
-def _curve(p, s):
-    """gamma at each entry of the array s, as a 3 x len(s) array."""
-    return np.array([s, np.sqrt(np.maximum(0.0, 1.0 - s * s)), boundary_value(p, s)])
-
-
-def _fd(f, h, order):
-    """Fourth-order central differences for derivatives 1 and 2, second
-    order for derivative 3, from the values f[k] = fun(s + k*h)."""
-    if order == 1:
-        return (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * h)
-    if order == 2:
-        return (-f[2] + 16 * f[1] - 30 * f[0] + 16 * f[-1] - f[-2]) / (12 * h * h)
-    return (f[2] - 2 * f[1] + 2 * f[-1] - f[-2]) / (2 * h ** 3)
-
-
-def _dots(a, b):
-    """The column dot products of the 3 x n arrays a and b, each by 1-d
-    a @ b's loop: a plain sum of the three products rounds differently."""
-    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    return (a[:, None, :] @ b[:, :, None]).ravel()
-
-
 @dataclass
 class TorsionReport:
     count: int
@@ -121,35 +98,48 @@ class TorsionReport:
     blowups: list = field(default_factory=list)
 
 
-def torsion_sign_changes(p, grid=512):
-    """Count sign changes of the Frenet torsion of the boundary curve
-    gamma(s) = (s, sqrt(1-s^2), phi_p(s)) over s in (-1, 1).
+def torsion(p, s):
+    """The torsion of gamma = (s, y, phi) = (s, sqrt(1-s^2), phi_p(s)) and
+    its sign at each entry of the array s in (-1, 1), for p outside {1, 2}.
 
-    Derivatives come from finite differences at all grid points at once
-    (steps 1e-5 for gamma', gamma'' and 1e-3 for gamma'''); grid points
-    where the stencil leaves the domain or produces non-finite values are
-    reported as blowups, not silently dropped into the sign count.
+    With q = 1/p, A = 1 + s, B = 1 - s, a = A^q, b = B^q and u = a + b:
+    y' = -s/sqrt(AB), y'' = -(AB)^(-3/2), phi' = u^(p-1) (a/A - b/B) and
+    phi'' = 4(q-1) u^(p-2) ab/(AB)^2. The numerator y'' phi''' - y''' phi''
+    of (gamma' x gamma'').gamma''' reduces to phi'' (2q-1)(a-b)/(u (AB)^2.5),
+    over |gamma' x gamma''|^2 = (y' phi'' - phi' y'')^2 + phi''^2 + y''^2 > 0.
+    The sign, sign(q-1) sign(2q-1) sign(a-b), is taken as that product, so
+    it holds where the value underflows to 0 (|p| <= 0.005): one change, at
+    s = 0. a and b are scaled by the larger, e^m, through their logarithms,
+    so nothing overflows at small |p|; e^(mp) is left in phi' and phi''.
     """
+    q, A, B = 1.0 / p.p, 1.0 + s, 1.0 - s
+    AB = A * B
+    la, lb = q * np.log1p(s), q * np.log1p(-s)
+    m = np.maximum(la, lb)
+    a, b = np.exp(la - m), np.exp(lb - m)
+    dy, ddy = -s / np.sqrt(AB), -AB ** -1.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, scale = a + b, np.exp(m * p.p)
+        dphi = scale * u ** (p.p - 1.0) * (a / A - b / B)
+        ddphi = 4.0 * (q - 1.0) * scale * u ** (p.p - 2.0) * a * b / (AB * AB)
+        num = ddphi * (2.0 * q - 1.0) * (a - b) / (u * AB ** 2.5)
+        tau = num / ((dy * ddphi - dphi * ddy) ** 2 + ddphi ** 2 + ddy ** 2)
+    return tau, np.sign(q - 1.0) * np.sign(2.0 * q - 1.0) * np.sign(a - b)
+
+
+def torsion_sign_changes(p, grid=512):
+    """Count sign changes of the torsion's exact signs over a grid in
+    (-1, 1); grid points where its value is not finite are reported as
+    blowups and left out of the count."""
     if p.p in (1.0, 2.0):
         raise ValueError("torsion vanishes identically at p in {1, 2}")
-    if abs(p.p) < 0.3:  # the steps below do not resolve phi_p there
-        raise ValueError("torsion needs |p| >= 0.3, got p = %r" % p.p)
-    if grid < 3:  # no smaller grid has a point whose stencil fits in (-1, 1)
+    if grid < 3:  # the smallest grid with s = 0 and a point on each side
         raise ValueError("grid must be at least 3, got %d" % grid)
-    h12, h3 = 1e-5, 1e-3
     ss = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, grid)
-    inside = np.abs(ss) + 3 * h3 < 1.0
-    s = ss[inside]
-    fine = {k: _curve(p, s + k * h12) for k in (-2, -1, 0, 1, 2)}
-    coarse = {k: _curve(p, s + k * h3) for k in (-2, -1, 1, 2)}
-    cross = np.cross(_fd(fine, h12, 1), _fd(fine, h12, 2), axis=0)
-    tau = np.full(grid, math.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau[inside] = _dots(cross, _fd(coarse, h3, 3)) / _dots(cross, cross)
+    tau, seq = torsion(p, ss)
     good = np.isfinite(tau)
-    tau, pos = tau[good], ss[good]
-    seq = sign_of(tau, 1e-9 * np.max(np.abs(tau)))
-    tau, pos, seq = tau[seq != 0], pos[seq != 0], seq[seq != 0]
+    keep = good & (seq != 0)
+    tau, pos, seq = tau[keep], ss[keep], seq[keep]
     flips = np.flatnonzero(seq[1:] != seq[:-1])
     location, direction = math.nan, ""
     if len(flips):

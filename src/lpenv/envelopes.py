@@ -11,12 +11,11 @@ below; which is which depends on the exponent regime.
 
 import math
 import numbers
-import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .powers import INF, fan_power, power_sum, xpow
+from .powers import INF, fan_power, power_sum, sqrt_product, xpow
 
 P_MIN = 1e-3
 
@@ -71,11 +70,7 @@ class ConeTriple:
         if not (0.0 <= x < INF and 0.0 <= y < INF and 0.0 <= z < INF):  # NaN fails too
             name, val = next(nv for nv in zip("xyz", (x, y, z)) if not 0.0 <= nv[1] < INF)
             raise ValueError("%s must be a finite nonnegative real, got %r" % (name, val))
-        xy = x * y
-        # sqrt(x)*sqrt(y) only where x*y overflowed or left the normal
-        # range, so every other clamp keeps the value sqrt(x*y)
-        bound = (math.sqrt(xy) if sys.float_info.min <= xy < math.inf
-                 else math.sqrt(x) * math.sqrt(y))
+        bound = sqrt_product(x, y)
         if z > bound:
             # 0.5*x + 0.5*y: x + y can overflow where their mean cannot
             slack = EPS_CS * max(bound, 0.5 * x + 0.5 * y)
@@ -225,35 +220,6 @@ class BoundReport:
 
     def to_dict(self):
         return asdict(self)
-
-
-def two_point(q, x):
-    """Both sides of the two-point inequality at parameters (q, x).
-
-    lhs = ((1+x)^q + (1-x)^q)/2, rhs = ((1 + (1-x^2)^q)/2)^(1-q).
-    lhs <= rhs for q in (-inf, 1/2] u [1, inf); reversed on [1/2, 1).
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1], got %r" % (x,))
-    lhs = 0.5 * (xpow(1.0 + x, q) + xpow(1.0 - x, q))
-    inner = 0.5 * (1.0 + xpow((1.0 - x) * (1.0 + x), q))
-    rhs = xpow(inner, 1.0 - q)
-    return lhs, rhs
-
-
-def scalar_three_term(a, b, p):
-    """Both sides of (a+b)^p vs a^p + b^p + (2^p - 2)(ab)^(p/2).
-
-    lhs <= rhs for p in [1, 2]; reversed for p in (0,1] u [2,inf).
-    """
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be nonnegative")
-    pp = p.p
-    lhs = xpow(a + b, pp)
-    # (ab)^(p/2) as a^(p/2) * b^(p/2): immune to underflow of the product
-    overlap = xpow(a, 0.5 * pp) * xpow(b, 0.5 * pp)
-    rhs = xpow(a, pp) + xpow(b, pp) + (2.0 ** pp - 2.0) * overlap
-    return lhs, rhs
 
 
 def sum_bound(moments, overlaps, p):

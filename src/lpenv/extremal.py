@@ -7,8 +7,9 @@ p < 0) for G_p.
 """
 
 import math
+import sys
 
-from .powers import xpow
+from .powers import INF, sqrt_product, xpow
 from .stepfun import StepFunction
 
 
@@ -22,17 +23,12 @@ def extremal_F(p, t):
     s = x + y
     if s == 0.0:
         raise ValueError("degenerate target: x + y must be positive")
-    disc = max(0.0, (s - 2.0 * z) * (s + 2.0 * z))
-    sq = math.sqrt(disc)
+    sq = sqrt_product(max(0.0, s - 2.0 * z), s + 2.0 * z)
     big = 0.5 * (s + sq)
-    small = z * z / big  # stable form of (s - sq)/2
-    if sq == 0.0:
-        c = 0.5
-    else:
-        c = min(1.0, max(0.0, 0.5 + (x - y) / (2.0 * sq)))
-    inv = 1.0 / p.p
-    a = xpow(big, inv)
-    b = xpow(small, inv)
+    zz = z * z  # small = (s - sq)/2, stable; z*(z/big) off zz's normal range
+    small = zz / big if sys.float_info.min <= zz < INF else z * (z / big)
+    c = 0.5 if sq == 0.0 else min(1.0, max(0.0, 0.5 + (x - y) / (2.0 * sq)))
+    a, b = xpow(big, 1.0 / p.p), xpow(small, 1.0 / p.p)
     if 0.0 < c < 1.0:
         return StepFunction((0.0, c, 1.0), (a, b)), StepFunction((0.0, c, 1.0), (b, a))
     fv, gv = (b, a) if c <= 0.0 else (a, b)  # c = 0 or 1: each function is one block

@@ -9,6 +9,7 @@ negative-exponent conventions hold bit-exactly at boundary points:
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -54,6 +55,14 @@ def xpow_array(base, expo):
         for b in base[fast].tolist():
             xpow(b, expo)  # raises xpow's OverflowError, naming the power
     return out
+
+
+def sqrt_product(u, v):
+    """sqrt(u*v) for u, v >= 0, as sqrt(u)*sqrt(v) only where u*v overflowed
+    or left the normal range, so every other product keeps sqrt(u*v)'s bits."""
+    uv = u * v
+    return (math.sqrt(uv) if sys.float_info.min <= uv < INF
+            else math.sqrt(u) * math.sqrt(v))
 
 
 def power_sum(u, v, p):

@@ -61,3 +61,16 @@ def ref_h_tilde(p, t):
 
 def ref_diff(fun, t, order=1):
     return mp.diff(fun, mp.mpf(t), order)
+
+
+def ref_torsion(p, s):
+    """The torsion (g1 x g2) . g3 / |g1 x g2|^2 of the boundary curve
+    g(t) = (t, sqrt(1-t^2), ((1+t)^(1/p) + (1-t)^(1/p))^p) at t = s, with
+    g1, g2 and g3 its derivatives taken numerically by mp.diff."""
+    p = mp.mpf(p)
+    parts = (lambda t: t, lambda t: mp.sqrt(1 - t * t),
+             lambda t: ((1 + t) ** (1 / p) + (1 - t) ** (1 / p)) ** p)
+    g1, g2, g3 = ([ref_diff(f, s, k) for f in parts] for k in (1, 2, 3))
+    cross = [g1[1] * g2[2] - g1[2] * g2[1], g1[2] * g2[0] - g1[0] * g2[2],
+             g1[0] * g2[1] - g1[1] * g2[0]]
+    return mp.fdot(cross, g3) / mp.fdot(cross, cross)

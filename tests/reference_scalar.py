@@ -90,10 +90,18 @@ def extremal_F(p, t):
     s = x + y
     if s == 0.0:
         raise ValueError("degenerate target: x + y must be positive")
-    disc = max(0.0, (s - 2.0 * z) * (s + 2.0 * z))
-    sq = math.sqrt(disc)
+    u, v = max(0.0, s - 2.0 * z), s + 2.0 * z
+    disc = u * v
+    # each product taken apart where it overflows or leaves the normal range
+    if sys.float_info.min <= disc < INF:
+        sq = math.sqrt(disc)
+    else:
+        sq = math.sqrt(u) * math.sqrt(v)
     big = 0.5 * (s + sq)
-    small = z * z / big
+    if sys.float_info.min <= z * z < INF:
+        small = z * z / big
+    else:
+        small = z * (z / big)
     if sq == 0.0:
         c = 0.5
     else:

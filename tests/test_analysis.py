@@ -1,12 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-import reference_torsion
-from highprec import ref_diff, ref_h, ref_h_tilde
+from highprec import ref_diff, ref_h, ref_h_tilde, ref_torsion
 from lpenv import analysis
-from lpenv.envelopes import classify
+from lpenv.envelopes import P_MIN, classify
+from lpenv.suites import TORSION_EXPONENTS
 
 SIGN_EXPONENTS = (-2.0, -0.5, 0.5, 0.9, 1.3, 1.7, 2.5, 4.0)
 
@@ -129,6 +130,10 @@ class TestHTilde:
             float(ref_diff(fun, t, 2)), rel=1e-6)
 
 
+def paper_direction(p_val):
+    return "minus_to_plus" if classify(p_val).f_is_concave else "plus_to_minus"
+
+
 class TestTorsion:
     @pytest.mark.parametrize("p_val,direction", [
         (3.0, "minus_to_plus"),
@@ -153,39 +158,49 @@ class TestTorsion:
         assert str(exc.value) == "grid must be at least 3, got %d" % grid
 
     @pytest.mark.parametrize("p_val", [0.25, -0.25, 0.2, -0.2, 0.005, -0.001])
-    def test_rejects_p_below_floor(self, p_val):
-        """Below |p| = 0.3 the stencil's steps do not resolve phi_p (p = -0.29
-        reports 3 sign changes at grid 4096); p = -0.001 used to overflow."""
-        with pytest.raises(ValueError) as exc:
-            analysis.torsion_sign_changes(classify(p_val))
-        assert str(exc.value) == "torsion needs |p| >= 0.3, got p = %r" % p_val
+    def test_single_change_below_0_3(self, p_val):
+        """One change below |p| = 0.3 too, down to P_MIN."""
+        rep = analysis.torsion_sign_changes(classify(p_val))
+        assert (rep.count, rep.direction, rep.blowups) == (
+            1, paper_direction(p_val), [])
 
     @pytest.mark.parametrize("grid", [16, 512, 8192])
-    @pytest.mark.parametrize("p_val", [0.3, -0.3])
+    @pytest.mark.parametrize("p_val", [0.3, -0.3, P_MIN, -P_MIN])
     def test_single_change_at_floor(self, p_val, grid):
-        assert analysis.torsion_sign_changes(classify(p_val), grid=grid).count == 1
+        """At |p| = 0.3 and at the package's floor P_MIN, where the torsion's
+        magnitude underflows to 0 on part of the grid but its sign does not."""
+        rep = analysis.torsion_sign_changes(classify(p_val), grid=grid)
+        assert (rep.count, rep.direction, rep.blowups) == (
+            1, paper_direction(p_val), [])
+
+    @pytest.mark.parametrize("grid", [16, 512, 8192])
+    @pytest.mark.parametrize("p_val", TORSION_EXPONENTS + (0.02, -0.02, 0.1, -0.1))
+    def test_single_change(self, p_val, grid):
+        rep = analysis.torsion_sign_changes(classify(p_val), grid=grid)
+        assert (rep.count, rep.direction, rep.blowups) == (
+            1, paper_direction(p_val), [])
+        assert abs(rep.location) <= 1e-2
+
+    @pytest.mark.parametrize("p_val", TORSION_EXPONENTS + (0.1, -0.1))
+    def test_matches_high_precision(self, p_val):
+        """The closed form against mp.diff derivatives of the curve at 50 digits."""
+        assert mp.mp.dps >= 50
+        s = np.array([-0.9, -0.3, 0.2, 0.3, 0.7, 0.9, 0.95])
+        tau, sign = analysis.torsion(classify(p_val), s)
+        want = [ref_torsion(p_val, float(v)) for v in s]
+        assert sign.tolist() == [int(mp.sign(w)) for w in want]
+        for got, ref in zip(tau.tolist(), want):
+            assert abs(got - ref) <= 1e-13 * abs(ref), (p_val, got, ref)
 
     def test_grid_3_reports(self):
         rep = analysis.torsion_sign_changes(classify(3.0), grid=3)
         assert isinstance(rep, analysis.TorsionReport)
-        assert rep.blowups == [-0.999, 0.999]
+        assert (rep.count, rep.blowups) == (1, [])
 
     def test_blowups_reported(self):
+        # every grid point's torsion is finite, up to s = -0.999 and 0.999
         rep = analysis.torsion_sign_changes(classify(3.0), grid=128)
-        # stencil leaves [-1, 1] near the endpoints; those points are listed
-        assert len(rep.blowups) >= 2
-        assert all(abs(s) > 0.99 for s in rep.blowups)
-
-    @pytest.mark.parametrize("grid", [128, 256, 512])
-    @pytest.mark.parametrize("p_val", [-2.0, -1.0, -0.5, 0.5, 0.9, 1.3, 1.5,
-                                       2.5, 3.0, 4.0])
-    def test_matches_point_loop(self, p_val, grid):
-        """The one-pass stencil gives the per-point loop's report exactly."""
-        p = classify(p_val)
-        got = analysis.torsion_sign_changes(p, grid=grid)
-        want = reference_torsion.torsion_sign_changes(p, grid=grid)
-        assert repr((got.count, got.location, got.direction, got.blowups)) == repr(
-            (want.count, want.location, want.direction, want.blowups))
+        assert rep.blowups == []
 
 
 ARRAY_FUNCTIONS = ("v_fn", "g_fn", "h_fn", "h_fn_d1", "h_fn_d2", "h_tilde_fn",

@@ -153,6 +153,14 @@ class TestExtremal:
         assert "inf" in obj["f"]["values"] or "inf" in obj["g"]["values"]
         assert obj["achieved"] == pytest.approx(0.25, rel=1e-9)
 
+    @pytest.mark.parametrize("z", ["1e300", "1e299"])
+    def test_f_pair_huge_triple(self, capsys, z):
+        code, out, _ = run(capsys, "extremal", "-p", "3", "--which", "F",
+                           "1e300", "1e300", z)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["achieved"] == pytest.approx(obj["target"], rel=1e-9)
+
 
 def p_neg_summary():
     lhs, rhs = suites.p_neg_counterexample()

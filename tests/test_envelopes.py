@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,9 @@ from highprec import ref_F, ref_G, ref_carlen, ref_two_point
 from lpenv import envelopes
 from lpenv.envelopes import (BoundReport, ConeTriple, carlen_bound, classify,
                              envelope_arrays, eval_F, eval_G, lower_envelope,
-                             scalar_three_term, sum_bound, two_point,
-                             upper_envelope)
+                             sum_bound, upper_envelope)
 from lpenv.powers import xpow
+from lpenv.stepfun import StepFunction, pth_power_norm, sum_norm
 from lpenv.suites import P_GRID
 
 
@@ -299,65 +300,91 @@ class TestEnvelopeArrays:
         assert str(got.value).endswith("** -1000.0 overflows the float range")
 
 
+def two_point_sides(q, gamma):
+    """F_p and Carlen at x + y = 2, Gamma = gamma and p = 1/q. They are 2^p lhs^p
+    and 2^p rhs^p of the two-point inequality at x = sqrt(1 - Gamma^2):
+    lhs = ((1+x)^q + (1-x)^q)/2 and rhs = ((1 + (1-x^2)^q)/2)^(1-q)."""
+    p = 1.0 / q
+    return envelopes._F(2.0, gamma, p, math.sqrt), envelopes._carlen(2.0, gamma, p)
+
+
 class TestTwoPoint:
+    """lhs <= rhs for q in (-inf, 1/2] u [1, inf), reversed on (1/2, 1): F_p
+    below Carlen where F_p is the concave envelope, above it elsewhere."""
+
     def test_q1(self):
-        lhs, rhs = two_point(1.0, 0.7)
-        assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
+        F, C = two_point_sides(1.0, math.sqrt(1.0 - 0.7 ** 2))
+        assert F == pytest.approx(2.0) and C == pytest.approx(2.0)
 
     def test_q2_x1(self):
-        lhs, rhs = two_point(2.0, 1.0)
-        assert lhs == pytest.approx(2.0) and rhs == pytest.approx(2.0)
+        F, C = two_point_sides(2.0, 0.0)
+        assert F == pytest.approx(2.0) and C == pytest.approx(2.0)
 
     def test_q3_direction(self):
-        lhs, rhs = two_point(3.0, 0.5)
-        assert lhs == pytest.approx(1.75, rel=1e-14)
-        assert rhs == pytest.approx(1.9785050114720444, rel=1e-13)
-        assert lhs <= rhs
+        # lhs = 1.75 and rhs = 1.9785050114720444 at x = 0.5
+        F, C = two_point_sides(3.0, math.sqrt(0.75))
+        assert F == pytest.approx(3.5 ** (1.0 / 3.0), rel=1e-14)
+        assert C == pytest.approx((2.0 * 1.9785050114720444) ** (1.0 / 3.0), rel=1e-13)
+        assert F <= C
 
     def test_direction_grid(self):
         for q in np.linspace(-5, 5, 41):
+            if q == 0.0:  # no exponent: both sides are 1
+                continue
+            concave = classify(1.0 / q).f_is_concave
             for x in np.linspace(0, 1, 21):
-                lhs, rhs = two_point(float(q), float(x))
-                if math.isinf(lhs) and math.isinf(rhs):
-                    continue
-                slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
-                if q <= 0.5 or q >= 1.0:
-                    assert lhs <= rhs + slack, (q, x)
+                F, C = two_point_sides(float(q), math.sqrt((1.0 - x) * (1.0 + x)))
+                slack = 1e-12 * max(1.0, F, C)
+                if concave:
+                    assert F <= C + slack, (q, x)
                 else:
-                    assert lhs >= rhs - slack, (q, x)
-
-    @pytest.mark.parametrize("x", [1.5, -0.5, math.nan])
-    def test_rejects_x_outside_unit_interval(self, x):
-        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got %s$" % x):
-            two_point(0.5, x)
+                    assert F >= C - slack, (q, x)
 
     def test_reference(self):
+        """Both sides at 50 digits, at the Gamma (0.436 to 0.995) and p the
+        floats carry."""
         for q in (-2.0, 0.3, 0.75, 4.0):
+            p = mp.mpf(1.0 / q)
             for x in (0.1, 0.5, 0.9):
-                lhs, rhs = two_point(q, x)
-                rl, rr = ref_two_point(q, x)
-                assert lhs == pytest.approx(float(rl), rel=1e-13)
-                assert rhs == pytest.approx(float(rr), rel=1e-13)
+                gamma = math.sqrt((1.0 - x) * (1.0 + x))
+                F, C = two_point_sides(q, gamma)
+                lhs, rhs = ref_two_point(1 / p, mp.sqrt(1 - mp.mpf(gamma) ** 2))
+                assert F == pytest.approx(float((2 * lhs) ** p), rel=1e-13)
+                assert C == pytest.approx(float((2 * rhs) ** p), rel=1e-13)
+
+
+def three_term_sides(a, b, p_val):
+    """(a+b)^p and a^p + b^p + (2^p - 2)(ab)^(p/2): |f+g|_p^p and sum_bound
+    at the norms of the constant functions f = a and g = b on [0, 1]."""
+    f, g = StepFunction.constant(a), StepFunction.constant(b)
+    # (ab)^(p/2) as a^(p/2) b^(p/2): overlap_norm's product a*b underflows
+    # for tiny a and b
+    overlap = xpow(a, 0.5 * p_val) * xpow(b, 0.5 * p_val)
+    moments = [pth_power_norm(f, p_val), pth_power_norm(g, p_val)]
+    return sum_norm(f, g, p_val), sum_bound(moments, overlap, classify(p_val))
 
 
 class TestScalarThreeTerm:
+    """(a+b)^p <= a^p + b^p + (2^p - 2)(ab)^(p/2) for p in [1, 2], reversed
+    for p in (0, 1] u [2, inf): the many-function bound at two constants."""
+
     def test_equal_args(self):
         for p_val in (1.0, 1.5, 2.0, 3.0):
-            lhs, rhs = scalar_three_term(1.0, 1.0, classify(p_val))
+            lhs, rhs = three_term_sides(1.0, 1.0, p_val)
             assert lhs == pytest.approx(2.0 ** p_val, rel=1e-14)
             assert rhs == pytest.approx(2.0 ** p_val, rel=1e-14)
 
     def test_degenerate(self):
-        lhs, rhs = scalar_three_term(1.0, 0.0, classify(1.5))
+        lhs, rhs = three_term_sides(1.0, 0.0, 1.5)
         assert lhs == 1.0 and rhs == 1.0
 
     @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (1.0, -1.0)])
     def test_rejects_negative(self, a, b):
-        with pytest.raises(ValueError, match="^a and b must be nonnegative$"):
-            scalar_three_term(a, b, classify(1.5))
+        with pytest.raises(ValueError, match=r"^values must be nonnegative \(or \+inf\)$"):
+            three_term_sides(a, b, 1.5)
 
     def test_direction_between_1_and_2(self):
-        lhs, rhs = scalar_three_term(2.0, 1.0, classify(1.5))
+        lhs, rhs = three_term_sides(2.0, 1.0, 1.5)
         assert lhs == pytest.approx(5.196152422706632, rel=1e-14)
         assert rhs == pytest.approx(5.221669923742216, rel=1e-14)
         assert lhs <= rhs
@@ -366,14 +393,14 @@ class TestScalarThreeTerm:
            st.floats(1.0, 2.0))
     @settings(max_examples=200, deadline=None)
     def test_direction_property(self, a, b, p_val):
-        lhs, rhs = scalar_three_term(a, b, classify(p_val))
+        lhs, rhs = three_term_sides(a, b, p_val)
         assert lhs <= rhs + 1e-12 * max(1.0, rhs)
 
     @given(st.floats(0, 50), st.floats(0, 50),
            st.one_of(st.floats(0.01, 1.0), st.floats(2.0, 8.0)))
     @settings(max_examples=200, deadline=None)
     def test_reversed_property(self, a, b, p_val):
-        lhs, rhs = scalar_three_term(a, b, classify(p_val))
+        lhs, rhs = three_term_sides(a, b, p_val)
         assert lhs >= rhs - 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 

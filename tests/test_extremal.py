@@ -53,6 +53,16 @@ class TestExtremalF:
         with pytest.raises(ValueError):
             extremal_F(classify(2), ConeTriple(0, 0, 0))
 
+    @pytest.mark.parametrize("triple", [
+        (1e300, 1e300, 1e300), (1e300, 1e300, 1e299),  # (s - 2z)(s + 2z) overflows
+        (1e-200, 3e-200, 1e-200), (1e-300, 1e-300, 1e-300),  # z*z underflows
+    ])
+    def test_triple_off_the_normal_range(self, triple):
+        t = ConeTriple(*triple)
+        got = triple_of_pair(*extremal_F(classify(3), t), 3.0)
+        for want, have in zip((t.x, t.y, t.z), (got.x, got.y, got.z)):
+            assert abs(have - want) <= 1e-12 * want
+
     def test_negative_p_inf_blocks(self):
         p = classify(-1)
         f, g = extremal_F(p, ConeTriple(1.0, 2.0, 0.0))
