@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 INF = math.inf
+TINY = sys.float_info.min  # the smallest normal float
 
 
 def xpow(base, expo):
@@ -45,14 +46,15 @@ def xpow(base, expo):
 def xpow_array(base, expo):
     """xpow over a 1-d float array, bit for bit, in any numpy error state:
     np.float_power (libm's pow, as ** calls it; np.power's SIMD loops move
-    last bits) on the finite positive entries, xpow itself on the others."""
-    fast = (base > 0.0) & (base < INF)
-    out = np.empty_like(base)
-    out[~fast] = [xpow(b, expo) for b in base[~fast].tolist()]
-    with np.errstate(over="ignore", under="ignore"):
-        out[fast] = vals = np.float_power(base[fast], expo)
-    if np.isinf(vals).any():  # a finite positive base overflowed
-        for b in base[fast].tolist():
+    last bits), -0.0 as 0.0, and xpow itself on NaN and negative entries."""
+    with np.errstate(all="ignore"):
+        out = np.float_power(base, expo)
+    out[base == 0.0] = xpow(0.0, expo)
+    other = ~(base >= 0.0)
+    if other.any():
+        out[other] = [xpow(b, expo) for b in base[other].tolist()]
+    if np.isinf(out).any():  # a finite positive base may have overflowed
+        for b in base[np.isinf(out) & (base > 0.0) & (base < INF)].tolist():
             xpow(b, expo)  # raises xpow's OverflowError, naming the power
     return out
 
@@ -61,8 +63,7 @@ def sqrt_product(u, v):
     """sqrt(u*v) for u, v >= 0, as sqrt(u)*sqrt(v) only where u*v overflowed
     or left the normal range, so every other product keeps sqrt(u*v)'s bits."""
     uv = u * v
-    return (math.sqrt(uv) if sys.float_info.min <= uv < INF
-            else math.sqrt(u) * math.sqrt(v))
+    return math.sqrt(uv) if TINY <= uv < INF else math.sqrt(u) * math.sqrt(v)
 
 
 def power_sum(u, v, p):

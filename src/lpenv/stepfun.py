@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .envelopes import BoundReport, ConeTriple
-from .powers import INF, xpow, xpow_array
+from .powers import INF, TINY, xpow, xpow_array
 
 
 class StepFunction:
@@ -127,7 +127,11 @@ def pth_power_norm(f, p):
 
 
 def _overlap_integral(merged, fv, gv, p):
-    products = [INF if a == INF or b == INF else a * b for a, b in zip(fv, gv)]
+    products = [a * b if TINY <= a * b < INF else INF if a == INF or b == INF
+                else a * b if a == 0.0 or b == 0.0 else -1.0 for a, b in zip(fv, gv)]
+    if -1.0 in products and p:  # a split term; lazy, as _integral stops at +inf
+        return _integral(merged, (xpow(a, 0.5 * p) * xpow(b, 0.5 * p) if v < 0.0
+                                  else xpow(v, 0.5 * p) for a, b, v in zip(fv, gv, products)), 1.0)
     return _integral(merged, products, 0.5 * p)
 
 
@@ -139,7 +143,8 @@ def overlap_norm(f, g, p):
     """Integral of (fg)^(p/2) over the common refinement.
 
     A +inf factor makes the product +inf (not inf * 0 = nan), so the
-    integrand there is 0 for p < 0 and +inf for p > 0.
+    integrand there is 0 for p < 0 and +inf for p > 0. Where fg leaves the
+    normal range but f and g are finite and positive, it is split: f^(p/2) g^(p/2).
     """
     return _overlap_integral(*refine(f, g), p)
 
@@ -156,35 +161,58 @@ def sum_norm(f, g, p):
     return _sum_integral(*refine(f, g), p)
 
 
-def pair_norms(lengths, breakpoints, values, p):
-    """(x, y, z, |f+g|_p^p) as float arrays over the pairs (0, 1), (2, 3), ...
-    of an even, nonzero count of functions in sampling._draws' columns (its
-    arrays, taken without a copy, or lists): the floats of triple_of_pair and
-    sum_norm, as each integral is a weighted bincount, which adds a bin's
-    terms in order from 0.0 like _integral (np.add.reduceat adds pairwise);
-    but a power that overflows raises OverflowError even after a +inf term."""
-    if p == 0 or not len(lengths) or len(lengths) % 2:
-        raise ValueError("p must be nonzero and the function count even, > 0")
-    n, bps, vals = (np.asarray(a) for a in (lengths, breakpoints, values))
-    h, fid = len(n) // 2, np.repeat(np.arange(len(n)), n)  # value -> function
+def _merged(left, group, slot, k, vals):
+    """Each group's common refinement: its merged intervals' groups, widths and
+    member values by slot 0 to k - 1 (a slot past its group's size holds another's)."""
+    order = np.lexsort((left, group))  # by (group, left end)
+    grp, at, slot = group[order], left[order], slot[order]
+    nxt = np.append(at[1:], 1.0)  # the next left end in the group, or 1.0
+    nxt[np.append(grp[1:] != grp[:-1], True)] = 1.0
+    keep = nxt != at  # a run's last entry, where each slot's running maximum holds
+    return grp[keep], (nxt - at)[keep], [
+        vals[np.maximum.accumulate(np.where(slot == s, order, 0))[keep]] for s in range(k)]
+
+
+def group_norms(lengths, breakpoints, values, sizes, p):
+    """(moments, overlaps, totals) over groups of consecutive functions in
+    _draws' columns (arrays or lists), group k of sizes[k] >= 2: each |f|_p^p,
+    each group's sum of |f_i f_j|_{p/2}^{p/2} over i < j, each pair on its own
+    refinement, and |f_0 + f_1 + ...|_p^p folded as ((f_0 + f_1) + f_2) + ...
+    Weighted bincounts add in order from 0.0, so these are the list kernels'
+    floats; but a power that overflows raises OverflowError after a +inf term."""
+    n, bps, vals, sizes = (np.asarray(a) for a in (lengths, breakpoints, values, sizes))
+    if p == 0 or not len(sizes) or sizes.min() < 2 or sizes.sum() != len(n):
+        raise ValueError("p must be nonzero and the functions in groups of 2 or more")
+    count, k, h = len(sizes), sizes.max(), 0.5 * p
+    fid = np.repeat(np.arange(len(n)), n)  # value -> function
     ends = np.cumsum(n + 1) - 1  # the index of each function's 1.0
     left, right = np.delete(bps, ends), np.delete(bps, ends - n)
-    # by (pair, left end): a run's last entry is a merged interval, and the
-    # running maxima of f's and of g's value indices give both values there
-    order = np.lexsort((left, fid >> 1))
-    odd, pair, at = (fid & 1)[order], (fid >> 1)[order], left[order]
-    nxt = np.append(at[1:], 1.0)  # the next left end in the pair, or 1.0
-    nxt[np.append(pair[1:] != pair[:-1], True)] = 1.0
-    keep = nxt != at
-    fv = vals[np.maximum.accumulate(np.where(odd, 0, order))[keep]]
-    gv = vals[np.maximum.accumulate(np.where(odd, order, 0))[keep]]
-    pair, width = pair[keep], (nxt - at)[keep]
-    xy = np.bincount(fid, weights=(right - left) * xpow_array(vals, p), minlength=2 * h)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0; fv * gv, fv + gv overflow
-        product = np.where(np.isinf(fv) | np.isinf(gv), INF, fv * gv)
-        z = np.bincount(pair, weights=width * xpow_array(product, 0.5 * p), minlength=h)
-        total = np.bincount(pair, weights=width * xpow_array(fv + gv, p), minlength=h)
-    return (*xy.reshape(h, 2).T, z, total)
+    moments = np.bincount(fid, weights=(right - left) * xpow_array(vals, p), minlength=len(n))
+    first = np.cumsum(sizes) - sizes  # each group's first function
+    group = np.repeat(np.arange(count), sizes)[fid]  # value -> group
+    grp, width, v = _merged(left, group, fid - first[group], k, vals)
+    pair, pw, (fv, gv) = grp, width, v[:2]  # at size 2 a group is its one pair
+    if k > 2:  # each group's pairs i < j in order, each on its own refinement
+        i, j = np.triu_indices(k, 1)
+        owner, t = np.nonzero(j < sizes[:, None])
+        fn = (first[owner, None] + np.column_stack((i[t], j[t]))).ravel()
+        pid = np.repeat(np.arange(len(fn)), n[fn])  # gathered value -> function; pos: its index
+        pos = np.arange(len(pid)) + ((np.cumsum(n) - n)[fn] - np.cumsum(n[fn]) + n[fn])[pid]
+        pair, pw, (fv, gv) = _merged(left[pos], pid >> 1, pid & 1, 2, vals[pos])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0; products and sums overflow
+        inf = np.isinf(fv) | np.isinf(gv)
+        product = np.where(inf, INF, fv * gv)
+        terms = xpow_array(product, h)  # then split where _overlap_integral splits
+        split = ~inf & (np.minimum(fv, gv) > 0.0) & ~((product >= TINY) & (product < INF))
+        if split.any():
+            terms[split] = xpow_array(fv[split], h) * xpow_array(gv[split], h)
+        z = np.bincount(pair, weights=pw * terms)
+        overlaps = z if k == 2 else np.bincount(owner, weights=z, minlength=count)
+        total = v[0] + v[1]
+        for s in range(2, k):
+            total = np.where(sizes[grp] > s, total + v[s], total)
+        totals = np.bincount(grp, weights=width * xpow_array(total, p), minlength=count)
+    return moments, overlaps, totals
 
 
 def sum_and_report(f, g, p):

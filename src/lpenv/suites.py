@@ -12,9 +12,8 @@ import numpy as np
 from . import analysis
 from .envelopes import MARGIN_TOL, classify, envelope_arrays, sum_bound
 from .oracle import EnvelopeOracle
-from .sampling import _draws, random_step_functions, substreams
-from .stepfun import (StepFunction, _integral, _refine, overlap_norm,
-                      pair_norms, pth_power_norm)
+from .sampling import _draws, substreams
+from .stepfun import StepFunction, group_norms, pth_power_norm
 
 P_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 1.3, 1.5, 1.7, 2.0, 3.0, 5.0)
 SUM_UPPER_PS = (1.0, 1.5, 2.0)
@@ -24,6 +23,8 @@ TORSION_EXPONENTS = (-1.0, 0.5, 1.5, 3.0)
 
 # An oracle error above ORACLE_TOL, or NaN, is a violation.
 ORACLE_TOL = 2e-2
+
+SUM_CHUNK = 256  # sums per group_norms call in many_sweep, bounding its arrays
 
 
 def _tally(margins):
@@ -40,16 +41,16 @@ def pair_sweep(seed, samples):
 
     Each exponent of P_GRID draws ``samples // len(P_GRID)`` pairs (at
     least one), random_pair's functions, from its own substream of ``seed``
-    by one _draws, then takes their norms and BoundReport.at's margins over
-    all its pairs at once. Returns (violations, worst margin) over both sides.
+    by one _draws, then takes group_norms at size 2 and BoundReport.at's margins
+    over all its pairs at once. Returns (violations, worst margin) over both sides.
     """
     per = max(1, samples // len(P_GRID))
 
     def margins():
         for p_val, rng in zip(P_GRID, substreams(seed, len(P_GRID))):
             p = classify(p_val)
-            x, y, z, actual = pair_norms(*_draws(rng, p.p, 2 * per), p.p)
-            _, _, upper, lower, _ = envelope_arrays(p, x, y, z)
+            xy, z, actual = group_norms(*_draws(rng, p.p, 2 * per), np.full(per, 2), p.p)
+            _, _, upper, lower, _ = envelope_arrays(p, *xy.reshape(per, 2).T, z)
             scale = np.maximum(1.0, np.abs(actual))
             up, lo = (upper - actual) / scale, (actual - lower) / scale
             # min(up, lo) as Python takes it: up unless lo is smaller
@@ -64,24 +65,20 @@ def many_sweep(cases, per, draw):
     ``cases`` holds (p, upper, rng) triples; the bound is read as an upper
     bound when ``upper``, a lower bound otherwise. Each sum has 3 to 8
     terms, its length n drawn from ``rng`` and its terms by one call
-    ``draw(rng, p, n)``. Returns (violations, worst margin).
+    ``draw(rng, p, n)`` as _draws' columns. Returns (violations, worst margin).
     """
     def margins():
         for p_val, upper, rng in cases:
             p = classify(p_val)
             sign = 1.0 if upper else -1.0
-            for _ in range(per):
-                fs = draw(rng, p.p, int(rng.integers(3, 9)))
-                moments = [pth_power_norm(f, p.p) for f in fs]
-                overlaps = sum(overlap_norm(f, g, p.p)
-                               for i, f in enumerate(fs) for g in fs[i + 1:])
-                bps, vals = fs[0].breakpoints, fs[0].values
-                for f in fs[1:]:
-                    bps, av, bv = _refine(bps, vals, f.breakpoints, f.values)
-                    vals = [a + b for a, b in zip(av, bv)]
-                actual = _integral(bps, vals, p.p)
-                bound = sum_bound(moments, overlaps, p)
-                yield sign * (bound - actual) / max(1.0, abs(actual))
+            for done in range(0, per, SUM_CHUNK):
+                drawn = [draw(rng, p.p, int(rng.integers(3, 9)))
+                         for _ in range(min(SUM_CHUNK, per - done))]
+                sizes = [len(lengths) for lengths, _, _ in drawn]
+                moments, z, sums = group_norms(*map(np.concatenate, zip(*drawn)), sizes, p.p)
+                for m, overlap, actual in zip(np.split(moments, np.cumsum(sizes)[:-1]),
+                                              z.tolist(), sums.tolist()):
+                    yield sign * (sum_bound(m, overlap, p) - actual) / max(1.0, abs(actual))
 
     return _tally(np.fromiter(margins(), float))
 
@@ -92,7 +89,7 @@ def sum_sweep(seed, samples):
     upper, lower = substreams(seed, 2)
     cases = ([(p, True, upper) for p in SUM_UPPER_PS]
              + [(p, False, lower) for p in SUM_LOWER_PS])
-    return many_sweep(cases, max(1, samples // len(cases)), random_step_functions)
+    return many_sweep(cases, max(1, samples // len(cases)), _draws)
 
 
 def p_neg_counterexample():

@@ -18,6 +18,7 @@ from lpenv.powers import xpow
 from lpenv.sampling import random_pair, substreams
 from lpenv.stepfun import StepFunction, sum_norm, triple_of_pair
 from lpenv.suites import P_GRID
+from reference_draw import columns
 
 
 def report(num, name, ok, detail=""):
@@ -195,7 +196,9 @@ def _step_function(rng, p):
 
 
 def _step_functions(rng, p, count):
-    return [_step_function(rng, p) for _ in range(count)]
+    """``count`` of criterion 7's draws, as the columns many_sweep takes."""
+    return columns([(list(f.breakpoints), list(f.values))
+                    for f in (_step_function(rng, p) for _ in range(count))])
 
 
 def test_criterion_7_many_functions():

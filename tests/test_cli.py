@@ -57,6 +57,15 @@ class TestBound:
         assert err.startswith("error:")
         assert power in err
 
+    def test_tiny_functions_overlap(self, tmp_path, capsys):
+        """Two constants 1e-200 at p = 0.01: f * g underflows to 0, and the
+        overlap is f^(p/2) g^(p/2) = 0.01, so no bound is violated (exit 0)."""
+        fp = tmp_path / "t.json"
+        fp.write_text('{"breakpoints": [0, 1], "values": [1e-200]}')
+        code, out, _ = run(capsys, "bound", "-p", "0.01", "--files", str(fp), str(fp))
+        assert code == 0
+        assert json.loads(out)["triple"]["z"] == pytest.approx(0.01, rel=1e-12)
+
     def test_cauchy_schwarz_violation_exit2(self, capsys):
         code, _, _ = run(capsys, "bound", "-p", "2", "1", "1", "5")
         assert code == 2
@@ -464,8 +473,9 @@ class TestOracleCompare:
 def test_impossible_allocation_exit2(capsys, argv):
     """A request whose first array exceeds 2^47 bytes, a 47-bit address
     space, is exit 2 with numpy's message, not a traceback's 1; the
-    allocation fails at once, so no memory is touched. (verify sum draws one
-    sum at a time, so a huge --samples runs instead of failing.)"""
+    allocation fails at once, so no memory is touched. (verify sum hands the
+    kernel SUM_CHUNK sums at a time, so a huge --samples runs instead of
+    failing.)"""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

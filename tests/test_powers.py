@@ -12,7 +12,7 @@ from itertools import repeat
 import numpy as np
 import pytest
 
-from lpenv import analysis
+from lpenv import analysis, powers
 from lpenv.envelopes import ConeTriple, classify, eval_F, eval_G
 from lpenv.oracle import boundary_value
 from lpenv.powers import INF, fan_power, power_sum, xpow, xpow_array
@@ -109,6 +109,49 @@ class TestXpow:
                 with pytest.raises(OverflowError) as exc:
                     xpow_array(np.array(bases), expo)
                 assert "OverflowError: %s" % exc.value == errors[min(errors)]
+
+
+# the entries xpow_array takes without np.float_power's own value (-0.0),
+# with it (0.0, +inf, NaN) or with an overflow (1e-310 and 1e300)
+EDGE_BASES = [0.0, -0.0, INF, 1.5, 1e-310, 1e300, math.nan]
+
+
+@pytest.mark.parametrize("expo", [0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 0.5, -0.5])
+class TestArrayEdges:
+    def test_matches_scalar(self, expo):
+        """Every edge base alone, and all at once, gives xpow's bits, or
+        xpow's error for the first base that overflows."""
+        bits, errors = outcomes(xpow, EDGE_BASES, expo)
+        for i, base in enumerate(EDGE_BASES):
+            if i in errors:
+                with pytest.raises(OverflowError) as exc:
+                    xpow_array(np.array([base]), expo)
+                assert "OverflowError: %s" % exc.value == errors[i]
+            else:
+                got = xpow_array(np.array([base]), expo)
+                assert got.view(np.uint64).tolist() == [bits[i]], base
+        if errors:
+            with pytest.raises(OverflowError) as exc:
+                xpow_array(np.array(EDGE_BASES), expo)
+            assert "OverflowError: %s" % exc.value == errors[min(errors)]
+        else:
+            got = xpow_array(np.array(EDGE_BASES), expo)
+            assert got.view(np.uint64).tolist() == bits
+
+    def test_zero_and_inf_without_a_call_each(self, monkeypatch, expo):
+        """0, -0.0 and +inf entries take no xpow call of their own: one
+        call, xpow(0.0, expo), serves them all."""
+        calls = []
+
+        def counting(base, e):
+            calls.append(base)
+            return xpow(base, e)
+
+        monkeypatch.setattr(powers, "xpow", counting)
+        base = np.array([0.0, -0.0, INF, 2.0] * 250)
+        got = xpow_array(base, expo)
+        assert calls == [0.0]
+        assert got.view(np.uint64).tolist() == outcomes(xpow, base.tolist(), expo)[0]
 
 
 def ref_F(p, t):

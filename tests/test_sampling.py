@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lpenv import suites
 from lpenv.envelopes import classify
 from lpenv.powers import INF
 from lpenv.envelopes import sum_bound
@@ -30,10 +31,11 @@ def reference_pair_sweep(seed, samples):
     return _tally(list(margins()))
 
 
-def reference_sum_sweep(seed, samples):
+def reference_sum_sweep(seed, samples, tally=_tally):
     """The sum sweep one term at a time: a one-function
     random_step_functions call per term, then the moments, overlaps and sum
-    norm of each sum as many_sweep takes them."""
+    norm of each sum by the list kernels: the overlaps added in i < j order
+    from 0.0 (Python 3.12's sum() compensates), the terms folded by _refine."""
     upper, lower = substreams(seed, 2)
     cases = ([(p, True, upper) for p in SUM_UPPER_PS]
              + [(p, False, lower) for p in SUM_LOWER_PS])
@@ -47,8 +49,10 @@ def reference_sum_sweep(seed, samples):
                 fs = [random_step_functions(rng, p.p, 1)[0]
                       for _ in range(int(rng.integers(3, 9)))]
                 moments = [pth_power_norm(f, p.p) for f in fs]
-                overlaps = sum(overlap_norm(f, g, p.p)
-                               for i, f in enumerate(fs) for g in fs[i + 1:])
+                overlaps = 0.0
+                for i, f in enumerate(fs):
+                    for g in fs[i + 1:]:
+                        overlaps += overlap_norm(f, g, p.p)
                 bps, vals = fs[0].breakpoints, fs[0].values
                 for f in fs[1:]:
                     bps, av, bv = _refine(bps, vals, f.breakpoints, f.values)
@@ -57,7 +61,7 @@ def reference_sum_sweep(seed, samples):
                 bound = sum_bound(moments, overlaps, p)
                 yield sign * (bound - actual) / max(1.0, abs(actual))
 
-    return _tally(list(margins()))
+    return tally(list(margins()))
 
 
 def as_lists(arrays):
@@ -423,7 +427,17 @@ class TestPairSweep:
 
 class TestSumSweep:
     @pytest.mark.parametrize("seed", [1, 7, 202])
-    @pytest.mark.parametrize("samples", [7, 14, 700])
+    # 1799 sums are 257 per exponent: one more than SUM_CHUNK
+    @pytest.mark.parametrize("samples", [7, 14, 700, 1799])
     def test_matches_per_term_loop(self, seed, samples):
         assert repr(sum_sweep(seed, samples)) == repr(
             reference_sum_sweep(seed, samples))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10])
+    def test_any_chunk_size(self, monkeypatch, chunk):
+        """Every margin, in draw order, does not depend on how many sums
+        share a kernel call: 10 sums per exponent in chunks of 1, 3 (the
+        last one short) or 10."""
+        monkeypatch.setattr(suites, "SUM_CHUNK", chunk)
+        monkeypatch.setattr(suites, "_tally", lambda margins: margins.tolist())
+        assert repr(sum_sweep(3, 70)) == repr(reference_sum_sweep(3, 70, list))

@@ -9,10 +9,11 @@ from lpenv import stepfun
 from lpenv.envelopes import ConeTriple, classify
 from lpenv.extremal import extremal_F, extremal_G
 from lpenv.powers import INF, xpow
-from lpenv.sampling import _draws, random_pair, substreams
-from lpenv.stepfun import (StepFunction, overlap_norm, pair_norms,
-                           pth_power_norm, refine, sum_and_report, sum_norm,
-                           triple_of_pair)
+from lpenv.sampling import (_draws, random_pair, random_step_functions,
+                            substreams)
+from lpenv.stepfun import (StepFunction, _integral, _refine, group_norms,
+                           overlap_norm, pth_power_norm, refine,
+                           sum_and_report, sum_norm, triple_of_pair)
 from lpenv.suites import P_GRID
 from reference_draw import columns
 
@@ -65,8 +66,8 @@ class TestNorms:
         lambda f: pth_power_norm(f, 0.0),
         lambda f: overlap_norm(f, f, 0.0),
         lambda f: sum_norm(f, f, 0.0),
-        lambda f: pair_norms(*as_columns([(f, f)]), 0.0),
-    ], ids=["pth_power_norm", "overlap_norm", "sum_norm", "pair_norms"])
+        lambda f: group_norms(*as_columns([(f, f)]), [2], 0.0),
+    ], ids=["pth_power_norm", "overlap_norm", "sum_norm", "group_norms"])
     def test_rejects_p_zero(self, norm):
         with pytest.raises(ValueError):
             norm(StepFunction.constant(1.0))
@@ -95,6 +96,13 @@ class TestOverlap:
         f = StepFunction((0.0, 0.5, 1.0), (INF, 2.0))
         g = StepFunction((0.0, 0.5, 1.0), (0.0, 1.0))
         assert overlap_norm(f, g, -1.0) == 0.3535533905932738
+
+    def test_split_term_after_inf_term(self):
+        """A split term is taken only when reached: the +inf term 0^(-2)
+        comes first, so 1e-160^(-2) = 1e320 is never taken and the overlap
+        is +inf, not an OverflowError."""
+        f = StepFunction((0.0, 0.5, 1.0), (0.0, 1e-160))
+        assert overlap_norm(f, f, -4.0) == INF
 
     def test_inf_factor_positive_p_is_inf(self):
         f = StepFunction((0.0, 0.5, 1.0), (INF, 2.0))
@@ -140,15 +148,10 @@ class TestTripleOfPair:
         # a +inf block at p > 0
         (2.0, StepFunction((0.0, 0.5, 1.0), (1.0, INF)), StepFunction.constant(2.0), "x"),
         (2.0, StepFunction.constant(2.0), StepFunction((0.0, 0.5, 1.0), (1.0, INF)), "y"),
-        # f * g = 1e320 overflows to +inf while |f|_1 and |g|_1 are finite
-        (1.0, StepFunction.constant(1e160), StepFunction.constant(1e160), "z"),
         # a 0 block at p < 0
         (-1.0, chi(0.0, 0.5, 2.0), StepFunction.constant(1.0), "x"),
         (-1.0, StepFunction.constant(1.0), chi(0.0, 0.5, 2.0), "y"),
-        # f * g = 1e-400 underflows to 0 while |f|_-1 and |g|_-1 are finite
-        (-1.0, StepFunction.constant(1e-200), StepFunction.constant(1e-200), "z"),
-    ], ids=["inf-block-x", "inf-block-y", "product-overflow-z", "zero-block-x",
-            "zero-block-y", "product-underflow-z"])
+    ], ids=["inf-block-x", "inf-block-y", "zero-block-x", "zero-block-y"])
     def test_names_the_infinite_norm(self, p, f, g, name):
         """ConeTriple alone checks the norms: the message names the first
         infinite one, from triple_of_pair and sum_and_report alike."""
@@ -158,6 +161,27 @@ class TestTripleOfPair:
         with pytest.raises(ValueError) as got:
             sum_and_report(f, g, classify(p))
         assert str(ref.value) == str(got.value) == want
+
+    @pytest.mark.parametrize("p, value, z", [
+        # f * g = 1e320 overflows, while f^(1/2) g^(1/2) = 1e160 does not
+        (1.0, 1e160, 1e160),
+        # f * g = 1e-400 underflows to 0, while f^(-1/2) g^(-1/2) = 1e200
+        (-1.0, 1e-200, 1e200),
+        # z = x = y at every p for f = g: (1e-200)^0.01 = 0.01 and
+        # (1e200)^0.01 = 100, where the product's power would give 0 and +inf
+        (0.01, 1e-200, 0.01),
+        (0.01, 1e200, 100.0),
+    ], ids=["product-overflow-z", "product-underflow-z", "tiny-p-underflow",
+            "tiny-p-overflow"])
+    def test_split_product(self, p, value, z):
+        """Where f * g leaves the normal range but f and g are finite and
+        positive, the overlap takes f^(p/2) g^(p/2): z is finite, equal to
+        x = y here, and the same from triple_of_pair and sum_and_report."""
+        f = StepFunction.constant(value)
+        t = triple_of_pair(f, f, p)
+        assert t.z == pytest.approx(z, rel=1e-12)
+        assert t.z == pytest.approx(t.x, rel=1e-12)
+        assert repr(sum_and_report(f, f, classify(p)).triple) == repr(t)
 
     def test_cauchy_schwarz_randomized(self):
         rngs = substreams(123, 6)
@@ -258,11 +282,20 @@ def as_columns(pairs):
                     for pair in pairs for h in pair])
 
 
+def size_two_norms(lengths, breakpoints, values, p):
+    """x, y, z and |f+g|_p^p of the pairs (0, 1), (2, 3), ... of _draws'
+    columns: group_norms at group size 2, as pair_sweep calls it."""
+    xy, z, actual = group_norms(lengths, breakpoints, values,
+                                np.full(len(lengths) // 2, 2), p)
+    return xy[0::2], xy[1::2], z, actual
+
+
 def assert_pair_norms(pairs, p):
-    """pair_norms over all ``pairs`` at once, as pair_sweep calls it on
-    _draws' columns, gives each pair the floats of pth_power_norm,
-    overlap_norm and sum_norm, and of triple_of_pair where it is finite."""
-    x, y, z, actual = pair_norms(*as_columns(pairs), p)
+    """group_norms over all ``pairs`` at once, at group size 2 as pair_sweep
+    calls it on _draws' columns, gives each pair the floats of
+    pth_power_norm, overlap_norm and sum_norm, and of triple_of_pair where
+    it is finite."""
+    x, y, z, actual = size_two_norms(*as_columns(pairs), p)
     for (a, b), *got in zip(pairs, x.tolist(), y.tolist(), z.tolist(),
                             actual.tolist()):
         want = [pth_power_norm(a, p), pth_power_norm(b, p),
@@ -275,8 +308,8 @@ def assert_pair_norms(pairs, p):
 
 def assert_kernel_matches(pairs, p):
     """On each pair, and on each function paired with itself: refine gives
-    what ref_refine does, and pair_norms over the whole batch gives the
-    floats of triple_of_pair and sum_norm."""
+    what ref_refine does, and group_norms at size 2 over the whole batch
+    gives the floats of triple_of_pair and sum_norm."""
     batch = [(a, b) for f, g in pairs for a, b in ((f, g), (f, f), (g, g))]
     for a, b in batch:
         assert repr(refine(a, b)) == repr(ref_refine(a, b)), (a, b)
@@ -284,8 +317,8 @@ def assert_kernel_matches(pairs, p):
 
 
 class TestPairNorms:
-    """The norms of every pair from the columnar kernel, against
-    ref_refine, triple_of_pair and sum_norm, bit for bit."""
+    """The norms of every pair from the columnar kernel at group size 2,
+    against ref_refine, triple_of_pair and sum_norm, bit for bit."""
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_random_pairs(self, p):
@@ -294,11 +327,11 @@ class TestPairNorms:
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_draws_arrays_as_lists(self, p):
-        """_draws' arrays, which pair_norms takes without a copy, give the
+        """_draws' arrays, which group_norms takes without a copy, give the
         floats of the same pairs drawn by random_pair in as_columns' lists."""
         rng, twin = substreams(37, 1)[0], substreams(37, 1)[0]
-        got = pair_norms(*_draws(rng, p, 400), p)
-        want = pair_norms(*as_columns([random_pair(twin, p) for _ in range(200)]), p)
+        got = size_two_norms(*_draws(rng, p, 400), p)
+        want = size_two_norms(*as_columns([random_pair(twin, p) for _ in range(200)]), p)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -377,19 +410,20 @@ class TestPairNorms:
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_rejects_odd_or_no_functions(self, count):
+        """No count of pairs holds 1 or 3 functions, and no group is empty."""
         f = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
         lengths, bps, vals = columns([(list(f.breakpoints), list(f.values))]
                                      * count)
-        with pytest.raises(ValueError, match="even"):
-            pair_norms(lengths, bps, vals, 2.0)
+        with pytest.raises(ValueError, match="groups of 2 or more"):
+            group_norms(lengths, bps, vals, [2] * ((count + 1) // 2), 2.0)
 
     def test_overflow_after_inf_term_raises(self):
-        """Where pth_power_norm stops at a +inf term, pair_norms still takes
+        """Where pth_power_norm stops at a +inf term, group_norms still takes
         every power, so 1e-300 ** -2 raises instead of returning +inf."""
         f = StepFunction((0.0, 0.5, 1.0), (0.0, 1e-300))
         assert pth_power_norm(f, -2.0) == INF
         with pytest.raises(OverflowError):
-            pair_norms(*as_columns([(f, StepFunction.constant(1.0))]), -2.0)
+            size_two_norms(*as_columns([(f, StepFunction.constant(1.0))]), -2.0)
 
     @pytest.mark.parametrize("p, f, g", [
         (-1.0, chi(0.0, 0.5, 2.0), StepFunction.constant(1.0)),  # x = +inf
@@ -412,3 +446,110 @@ class TestPairNorms:
             with pytest.raises(ValueError) as got:
                 sum_and_report(a, b, classify(p))
             assert str(got.value) == str(ref.value)
+
+
+def ref_group(fs, p):
+    """The list kernels' floats for one group: each pth_power_norm, the
+    overlap_norm of each pair i < j added in that order from 0.0, and
+    _integral of the _refine fold ((f_0 + f_1) + f_2) + ..."""
+    overlaps = 0.0
+    for i, f in enumerate(fs):
+        for g in fs[i + 1:]:
+            overlaps += overlap_norm(f, g, p)
+    bps, vals = fs[0].breakpoints, fs[0].values
+    for f in fs[1:]:
+        bps, av, bv = _refine(bps, vals, f.breakpoints, f.values)
+        vals = [a + b for a, b in zip(av, bv)]
+    return [pth_power_norm(f, p) for f in fs], overlaps, _integral(bps, vals, p)
+
+
+def assert_group_norms(groups, p):
+    """group_norms over all ``groups`` in one call gives each group the
+    floats of ref_group, bit for bit."""
+    moments, overlaps, totals = group_norms(
+        *columns([(list(h.breakpoints), list(h.values)) for fs in groups for h in fs]),
+        [len(fs) for fs in groups], p)
+    end = 0
+    for fs, overlap, total in zip(groups, overlaps.tolist(), totals.tolist()):
+        got = moments[end:end + len(fs)].tolist(), overlap, total
+        end += len(fs)
+        assert repr(got) == repr(ref_group(fs, p)), (p, fs)
+    assert end == len(moments)
+
+
+class TestGroupNorms:
+    """Moments, i < j overlap sums and folded sums of groups of 2 to 8
+    functions from the columnar kernel, against the list kernels, bit for
+    bit."""
+
+    @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_hand_built(self, p):
+        one = StepFunction.constant(1.5)
+        eight = StepFunction([k / 8 for k in range(9)],
+                             [0.25 * (k + 1) for k in range(8)])
+        split = StepFunction((0.0, 0.25, 0.5, 1.0), (2.0, 0.5, 3.0))
+        shared = StepFunction((0.0, 0.25, 0.5, 1.0), (0.75, 4.0, 1.25))
+        odd = StepFunction([0.0, *((2 * k + 1) / 16 for k in range(8)), 1.0],
+                           [0.3 * (k + 1) for k in range(9)])
+        if p < 0:  # +inf atoms
+            atoms = [StepFunction((0.0, 0.5, 1.0), (INF, 2.0)),
+                     StepFunction((0.0, 0.125, 1.0), (INF, INF))]
+        else:  # 0 atoms
+            atoms = [chi(0.0, 0.5, 2.0), chi(0.25, 0.75, 3.0)]
+        fs = [one, eight, split, shared, odd, *atoms, StepFunction.constant(0.2)]
+        # sizes 2 to 8 in one call; split and shared share every breakpoint
+        groups = [fs[:2], fs[2:5], [split, shared, split, shared], fs[:5],
+                  fs[1:7], fs[:7], fs, [eight] * 8, [one, one], [shared, split],
+                  atoms + [one], [odd, *atoms]]
+        assert_group_norms(groups, p)
+
+    @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_random_groups(self, p):
+        """Random sizes 2 to 8 over random_step_functions' functions, and
+        group_norms over _draws' arrays of the same functions."""
+        rng, twin = substreams(41, 1)[0], substreams(41, 1)[0]
+        sizes = [int(k) for k in np.random.default_rng(43).integers(2, 9, 120)]
+        fs = random_step_functions(twin, p, sum(sizes))
+        groups, end = [], 0
+        for k in sizes:
+            groups.append(fs[end:end + k])
+            end += k
+        assert_group_norms(groups, p)
+        got = group_norms(*_draws(rng, p, sum(sizes)), np.array(sizes), p)
+        want = group_norms(*columns([(list(f.breakpoints), list(f.values))
+                                     for f in fs]), sizes, p)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [-1.0, -0.01, 0.01, 1.0])
+    @pytest.mark.parametrize("value", [1e-200, 1e-160, 1e160, 1e200])
+    def test_split_product(self, p, value):
+        """Where f * g leaves the normal range but f and g are finite and
+        positive, the kernel takes f^(p/2) g^(p/2) as overlap_norm does, at
+        size 2 and on each pair's own refinement in larger groups."""
+        big = StepFunction.constant(value)
+        mixed = StepFunction((0.0, 0.5, 1.0), (value, 1.0))
+        assert_group_norms([[big, big], [big, mixed, big], [mixed, big]], p)
+
+    def test_tiny_exponent_overlap(self):
+        """f = g = 1e200 at p = 0.01: f * g overflows, and z = x = 100."""
+        f = StepFunction.constant(1e200)
+        moments, overlaps, _ = group_norms(*as_columns([(f, f)]), [2], 0.01)
+        assert overlaps[0] == pytest.approx(100.0, rel=1e-12)
+        assert overlaps[0] == pytest.approx(moments[0], rel=1e-12)
+
+    @pytest.mark.parametrize("count, sizes", [
+        (0, []), (3, [1, 2]), (4, [2, 1, 1]), (5, [2, 2]), (4, [3, 2]),
+    ], ids=["no-functions", "group-of-1", "groups-of-1", "sizes-below-count",
+            "sizes-above-count"])
+    def test_rejects_sizes(self, count, sizes):
+        f = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
+        lengths, bps, vals = columns([(list(f.breakpoints), list(f.values))]
+                                     * count)
+        with pytest.raises(ValueError, match="groups of 2 or more"):
+            group_norms(lengths, bps, vals, sizes, 2.0)
+
+    def test_rejects_p_zero(self):
+        f = StepFunction((0.0, 0.5, 1.0), (2.0, 0.5))
+        with pytest.raises(ValueError, match="p must be nonzero"):
+            group_norms(*as_columns([(f, f, f)]), [3], 0.0)
