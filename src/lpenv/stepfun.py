@@ -135,10 +135,6 @@ def _overlap_integral(merged, fv, gv, p):
     return _integral(merged, products, 0.5 * p)
 
 
-def _sum_integral(merged, fv, gv, p):
-    return _integral(merged, [a + b for a, b in zip(fv, gv)], p)
-
-
 def overlap_norm(f, g, p):
     """Integral of (fg)^(p/2) over the common refinement.
 
@@ -158,28 +154,28 @@ def triple_of_pair(f, g, p):
 
 def sum_norm(f, g, p):
     """|f+g|_p^p on the common refinement (inf + anything = inf)."""
-    return _sum_integral(*refine(f, g), p)
+    merged, fv, gv = refine(f, g)
+    return _integral(merged, [a + b for a, b in zip(fv, gv)], p)
 
 
-def _merged(left, group, slot, k, vals):
-    """Each group's common refinement: its merged intervals' groups, widths and
-    member values by slot 0 to k - 1 (a slot past its group's size holds another's)."""
-    order = np.lexsort((left, group))  # by (group, left end)
-    grp, at, slot = group[order], left[order], slot[order]
-    nxt = np.append(at[1:], 1.0)  # the next left end in the group, or 1.0
+def _merged(grp, take, slot, k, left, vals):
+    """Common refinements of the entries ``take`` sorted by (refinement, left end): merged
+    intervals' refinements, widths and values by slot 0 to k - 1 (past its members, another's)."""
+    at = left[take]  # ``take`` holds flat indices, which pairs revisit: slots track positions
+    nxt = np.append(at[1:], 1.0)  # the next left end in the refinement, or 1.0
     nxt[np.append(grp[1:] != grp[:-1], True)] = 1.0
-    keep = nxt != at  # a run's last entry, where each slot's running maximum holds
-    return grp[keep], (nxt - at)[keep], [
-        vals[np.maximum.accumulate(np.where(slot == s, order, 0))[keep]] for s in range(k)]
+    keep, pos = nxt != at, np.arange(len(at))  # a run's last entry, and each entry's position
+    return grp[keep], (nxt - at)[keep], [  # each slot's latest entry, by a running maximum
+        vals[take[np.maximum.accumulate(np.where(slot == s, pos, 0))[keep]]] for s in range(k)]
 
 
 def group_norms(lengths, breakpoints, values, sizes, p):
-    """(moments, overlaps, totals) over groups of consecutive functions in
-    _draws' columns (arrays or lists), group k of sizes[k] >= 2: each |f|_p^p,
-    each group's sum of |f_i f_j|_{p/2}^{p/2} over i < j, each pair on its own
-    refinement, and |f_0 + f_1 + ...|_p^p folded as ((f_0 + f_1) + f_2) + ...
-    Weighted bincounts add in order from 0.0, so these are the list kernels'
-    floats; but a power that overflows raises OverflowError after a +inf term."""
+    """(moments, overlaps, totals) over groups of consecutive functions in _draws'
+    columns (arrays or lists), group k of sizes[k] >= 2: each |f|_p^p, each group's
+    sum of |f_i f_j|_{p/2}^{p/2} over i < j, each pair on its own refinement, and
+    |f_0 + f_1 + ...|_p^p folded as ((f_0 + f_1) + f_2) + ..., all read off one stable
+    row sort per group. Weighted bincounts add in order from 0.0, so these are the list
+    kernels' floats; but a power that overflows raises OverflowError after a +inf term."""
     n, bps, vals, sizes = (np.asarray(a) for a in (lengths, breakpoints, values, sizes))
     if p == 0 or not len(sizes) or sizes.min() < 2 or sizes.sum() != len(n):
         raise ValueError("p must be nonzero and the functions in groups of 2 or more")
@@ -188,17 +184,25 @@ def group_norms(lengths, breakpoints, values, sizes, p):
     ends = np.cumsum(n + 1) - 1  # the index of each function's 1.0
     left, right = np.delete(bps, ends), np.delete(bps, ends - n)
     moments = np.bincount(fid, weights=(right - left) * xpow_array(vals, p), minlength=len(n))
-    first = np.cumsum(sizes) - sizes  # each group's first function
-    group = np.repeat(np.arange(count), sizes)[fid]  # value -> group
-    grp, width, v = _merged(left, group, fid - first[group], k, vals)
+    group = np.repeat(np.arange(count), sizes)[fid]  # value -> group, as the row sort keeps it
+    m = np.bincount(group)  # values per group
+    real = np.arange(m.max()) < m[:, None]  # one row per group, padded past its values
+    rows, slots = np.full(real.shape, 2.0), np.full(real.shape, -1, np.min_scalar_type(-k))
+    rows[real], slots[real] = left, fid - (np.cumsum(sizes) - sizes)[group]
+    rows = rows.argsort(axis=1, kind="stable")  # padding last, ties in slot order as lexsort's
+    slots = slots.ravel()[rows + np.arange(0, real.size, m.max())[:, None]]  # rows' order too
+    rows += (np.cumsum(m) - m)[:, None]  # each group's flat indices, sorted
+    grp, width, v = _merged(group, rows[real], slots[real], k, left, vals)
     pair, pw, (fv, gv) = grp, width, v[:2]  # at size 2 a group is its one pair
-    if k > 2:  # each group's pairs i < j in order, each on its own refinement
-        i, j = np.triu_indices(k, 1)
+    if k > 2:  # each group's pairs i < j in order: slots i and j of its sorted row
+        i, j = np.array(np.triu_indices(k, 1), slots.dtype)  # compared in the slots' type
         owner, t = np.nonzero(j < sizes[:, None])
-        fn = (first[owner, None] + np.column_stack((i[t], j[t]))).ravel()
-        pid = np.repeat(np.arange(len(fn)), n[fn])  # gathered value -> function; pos: its index
-        pos = np.arange(len(pid)) + ((np.cumsum(n) - n)[fn] - np.cumsum(n[fn]) + n[fn])[pid]
-        pair, pw, (fv, gv) = _merged(left[pos], pid >> 1, pid & 1, 2, vals[pos])
+        ps = slots[owner]  # each pair's group row of slots
+        at = np.flatnonzero((ps == i[t, None]) | (ps == j[t, None]))  # i's and j's, in row order
+        pair = at // ps.shape[1]
+        at = rows.ravel()[at + (owner[pair] - pair) * ps.shape[1]], ps.ravel()[at] == j[t[pair]]
+        pair, pw, (fv, gv) = _merged(pair, *at, 2, left, vals)  # at: flat indices, slots 0, 1
+    del rows, slots, real  # not kept through the powers' temporaries
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0; products and sums overflow
         inf = np.isinf(fv) | np.isinf(gv)
         product = np.where(inf, INF, fv * gv)
@@ -221,4 +225,4 @@ def sum_and_report(f, g, p):
     merged, rf, rg = _refine(f.breakpoints, f.values, g.breakpoints, g.values)
     x, y = (_integral(h.breakpoints, h.values, p.p) for h in (f, g))
     t = ConeTriple(x, y, _overlap_integral(merged, rf, rg, p.p))
-    return BoundReport.at(p, t, _sum_integral(merged, rf, rg, p.p))
+    return BoundReport.at(p, t, _integral(merged, [a + b for a, b in zip(rf, rg)], p.p))

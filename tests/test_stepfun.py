@@ -477,6 +477,81 @@ def assert_group_norms(groups, p):
     assert end == len(moments)
 
 
+def lexsort_orders(lengths, breakpoints, sizes):
+    """The flat indices np.lexsort gives over _draws' columns in groups of
+    ``sizes``: every left end by (group, left end), and each group's pairs
+    i < j, gathered as f_i's left ends then f_j's, by (pair, left end). Ties
+    go to the earlier index, so to the earlier function."""
+    n, bps = np.asarray(lengths), np.asarray(breakpoints)
+    left = np.delete(bps, np.cumsum(n + 1) - 1)  # each interval's left end
+    group = np.repeat(np.repeat(np.arange(len(sizes)), sizes), n)
+    first = np.cumsum(n) - n  # each function's first interval
+    pairs = []
+    for g, size in zip(np.cumsum(sizes) - sizes, sizes):
+        for i in range(g, g + size):
+            for j in range(i + 1, g + size):
+                pairs.append(np.r_[first[i]:first[i] + n[i], first[j]:first[j] + n[j]])
+    gathered = np.concatenate(pairs)
+    pid = np.repeat(np.arange(len(pairs)), [len(pair) for pair in pairs])
+    return np.lexsort((left, group)), gathered[np.lexsort((left[gathered], pid))]
+
+
+def assert_lexsort_order(monkeypatch, lengths, breakpoints, values, sizes, p):
+    """The flat indices group_norms hands stepfun._merged are lexsort_orders',
+    index for index: the group refinement's, then (above size 2) the pairs'."""
+    takes, merged = [], stepfun._merged
+
+    def spy(grp, take, *rest):
+        takes.append(take.copy())
+        return merged(grp, take, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stepfun, "_merged", spy)
+        group_norms(lengths, breakpoints, values, sizes, p)
+    whole, pairs = lexsort_orders(lengths, breakpoints, sizes)
+    assert len(takes) == (2 if max(sizes) > 2 else 1)
+    assert np.array_equal(takes[0], whole)
+    if len(takes) == 2:
+        assert np.array_equal(takes[1], pairs)
+
+
+class TestRowOrder:
+    """group_norms' stable row sort per group, and the pairs read off its
+    rows, order every left end as np.lexsort does, ties included."""
+
+    @pytest.mark.parametrize("p", [3.0, -2.0])
+    def test_criterion_2_substreams(self, p, monkeypatch):
+        """pair_sweep's draws at criterion 2's seed and sample count."""
+        per = 100_000 // len(P_GRID)
+        rng = substreams(202, len(P_GRID))[P_GRID.index(p)]
+        assert_lexsort_order(monkeypatch, *_draws(rng, p, 2 * per), np.full(per, 2), p)
+
+    @pytest.mark.parametrize("p", [-0.5, 1.5])
+    def test_random_groups(self, p, monkeypatch):
+        rng = substreams(47, 1)[0]
+        sizes = np.random.default_rng(53).integers(2, 9, 300)
+        assert_lexsort_order(monkeypatch, *_draws(rng, p, int(sizes.sum())), sizes, p)
+
+    def test_hand_built_ties(self, monkeypatch):
+        """Equal left ends in f and g, one-interval functions, 8 + 8
+        intervals, and 8 functions that share every breakpoint."""
+        quarter = StepFunction((0.0, 0.25, 0.5, 1.0), (2.0, 0.5, 3.0))
+        tied = StepFunction((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 4.0, 0.5, 2.0))
+        one, two = StepFunction.constant(1.5), StepFunction.constant(0.25)
+        eight = StepFunction([k / 8 for k in range(9)], [0.25 * (k + 1) for k in range(8)])
+        odd = StepFunction([0.0, *((2 * k + 1) / 16 for k in range(7)), 1.0],
+                           [0.3 * (k + 1) for k in range(8)])
+        shared = [StepFunction(eight.breakpoints, [v * (k + 1) for v in eight.values])
+                  for k in range(8)]
+        for groups in ([[quarter, tied], [one, two], [eight, odd], [eight, eight],
+                        [one, eight], [tied, quarter]],
+                       [shared, [quarter, tied, one], [one, two], [eight, odd],
+                        shared[:3], [tied, quarter, two, eight, one]]):
+            fs = [f for group in groups for f in group]
+            cols = columns([(list(f.breakpoints), list(f.values)) for f in fs])
+            assert_lexsort_order(monkeypatch, *cols, [len(g) for g in groups], 1.5)
+
+
 class TestGroupNorms:
     """Moments, i < j overlap sums and folded sums of groups of 2 to 8
     functions from the columnar kernel, against the list kernels, bit for
@@ -520,6 +595,27 @@ class TestGroupNorms:
                                      for f in fs]), sizes, p)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 1.5, 3.0])
+    def test_shared_left_ends_every_size(self, p):
+        """Groups of every size from 3 to 8 in one call, whose functions
+        share and tie left ends, with a +inf atom at p < 0 (a 0 atom at p > 0).
+        Each pair's refinement is read off its group's sorted row, and a
+        slot's running maximum there must not carry over from the pair before."""
+        quarter = (0.0, 0.25, 0.5, 0.75, 1.0)
+        atom = INF if p < 0 else 0.0
+        fs = [StepFunction(quarter, (2.0, 0.5, 3.0, 1.25)),
+              StepFunction(quarter, (0.75, 4.0, 1.0, 0.5)),
+              StepFunction((0.0, 0.5, 1.0), (1.5, 0.2)),
+              StepFunction((0.0, 0.25, 0.625, 1.0), (0.3, 2.5, 1.1)),
+              StepFunction.constant(0.8),
+              StepFunction([k / 8 for k in range(9)], [0.25 * (k + 1) for k in range(8)]),
+              StepFunction((0.0, 0.75, 1.0), (atom, 1.75)),
+              StepFunction((0.0, 0.125, 0.5, 0.875, 1.0), (3.5, 0.4, 2.2, 0.9))]
+        groups = [fs[:size] for size in range(3, 9)]
+        groups += [fs[::-1][:size] for size in range(3, 9)]
+        groups += [[fs[0], fs[1], fs[0]], [fs[6]] * 4, fs[2:5], fs[:2] * 4]
+        assert_group_norms(groups, p)
 
     @pytest.mark.parametrize("p", [-1.0, -0.01, 0.01, 1.0])
     @pytest.mark.parametrize("value", [1e-200, 1e-160, 1e160, 1e200])
