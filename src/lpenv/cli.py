@@ -24,6 +24,16 @@ def fmt(v):
     return format(float(v), ".17g")
 
 
+def _texts(*columns):
+    """The "%.17g" text of each entry of the float64 arrays ``columns``, one list
+    per column. Each distinct value is formatted once, keyed by its bits: float
+    keys would take -0.0 for 0.0 and print 0 where -0 belongs."""
+    keys, at = np.unique(np.concatenate(columns).view(np.int64), return_inverse=True)
+    texts = ("%.17g\n" * len(keys) % tuple(keys.view(np.float64).tolist())).split("\n")
+    ends = np.cumsum([len(c) for c in columns])[:-1]
+    return [[texts[i] for i in part.tolist()] for part in np.split(at, ends)]
+
+
 def _dump(obj):
     print(json.dumps(obj, indent=2, default=lambda v: float(v)))
 
@@ -128,12 +138,12 @@ def cmd_table(args):
     s = np.repeat(np.linspace(-1.0, 1.0, args.grid), args.grid)
     zmax = np.sqrt(np.maximum(0.0, 1.0 - s * s))
     z = np.tile(np.linspace(0.0, 1.0, args.grid), args.grid) * zmax
-    # each float is formatted once, in the bytes fmt gives: s and z for
-    # every exponent, F and G again as the upper and lower columns
-    sz = ["%.17g,%.17g" % row for row in zip(s.tolist(), z.tolist())]
+    # s and z are formatted once for every exponent, F and G again serve as the
+    # upper and lower columns; one exponent's columns at a time bound the memory
+    sz = list(map(",".join, zip(*_texts(s, z))))
     for p in ps:
         F, G, _, _, C = envelope_arrays(p, 1.0 + s, 1.0 - s, z)
-        F, G, C = (list(map("%.17g".__mod__, c.tolist())) for c in (F, G, C))
+        F, G, C = _texts(F, G, C)
         upper, lower = (F, G) if p.f_is_concave else (G, F)
         rows += map(",".join, zip([fmt(p.p)] * len(sz), sz, F, G, upper, lower, C))
     return _write_csv(rows, args.out)
@@ -144,9 +154,9 @@ def cmd_oracle_compare(args):
         raise ValueError("--grid must be at least 3, got %d" % args.grid)
     oc = EnvelopeOracle(classify(args.p), args.kind, args.n)
     s, z, cf = suites.closed_columns(oc, args.grid)  # formatted while the hull builds
-    texts = [list(map("%.17g".__mod__, c.tolist())) for c in (s, z, cf)]
+    texts = _texts(s, z, cf)
     ov = oc.evaluate(s, z)
-    texts += (map("%.17g".__mod__, c.tolist()) for c in (ov, np.abs(ov - cf)))
+    texts += _texts(ov, np.abs(ov - cf))
     rows = map(",".join, zip([fmt(oc.curve.p.p)] * len(s), *texts, ["%d" % args.n] * len(s)))
     return _write_csv(["p,s,z,closed_form,oracle,abs_err,N", *rows], args.out)
 

@@ -181,8 +181,9 @@ def group_norms(lengths, breakpoints, values, sizes, p):
         raise ValueError("p must be nonzero and the functions in groups of 2 or more")
     count, k, h = len(sizes), sizes.max(), 0.5 * p
     fid = np.repeat(np.arange(len(n)), n)  # value -> function
-    ends = np.cumsum(n + 1) - 1  # the index of each function's 1.0
-    left, right = np.delete(bps, ends), np.delete(bps, ends - n)
+    inner = np.ones(len(bps) - 1, bool)  # breakpoint i and i + 1 of one function
+    inner[np.cumsum(n + 1)[:-1] - 1] = False  # not a function's 1.0 and the next's 0.0
+    left, right = bps[:-1][inner], bps[1:][inner]
     moments = np.bincount(fid, weights=(right - left) * xpow_array(vals, p), minlength=len(n))
     group = np.repeat(np.arange(count), sizes)[fid]  # value -> group, as the row sort keeps it
     m = np.bincount(group)  # values per group

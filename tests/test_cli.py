@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpenv
 from lpenv import suites
-from lpenv.cli import fmt, main
+from lpenv.cli import _texts, fmt, main
 from lpenv.envelopes import (ConeTriple, carlen_bound, classify, eval_F,
                              eval_G, lower_envelope, upper_envelope)
 from lpenv.oracle import EnvelopeOracle
@@ -277,6 +279,36 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "pair", "--seed", "42",
                          "--samples", "500")
         assert out1 == out2
+
+
+def each_text(columns):
+    return [["%.17g" % v for v in c.tolist()] for c in columns]
+
+
+# signed zeros, which a float key would merge, and values that repeat
+TEXT_POOL = [0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, math.nan, -math.nan,
+             math.inf, -math.inf, 5e-324, -5e-324, 1e-300, 1e308]
+
+
+class TestTexts:
+    def test_edge_values(self):
+        columns = [np.array(c, dtype=float) for c in (
+            [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300],
+            [-0.0, 1e-300, 0.0, 5e-324, 1.5, 1.5],
+            [],
+            [math.nan, -math.inf, 0.0, -0.0],
+        )]
+        texts = _texts(*columns)
+        assert texts == each_text(columns)
+        assert texts[0][:2] == ["0", "-0"] and texts[1][:3] == ["-0", "1e-300", "0"]
+        assert texts[1][3] == "4.9406564584124654e-324" and texts[2] == []
+
+    @given(st.lists(st.lists(st.sampled_from(TEXT_POOL), max_size=40),
+                    min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_each_entry(self, values):
+        columns = [np.array(c, dtype=float) for c in values]
+        assert _texts(*columns) == each_text(columns)
 
 
 def ref_table(p_list, grid):
