@@ -62,20 +62,20 @@ def pair_sweep(seed, samples):
 def many_sweep(cases, per, draw):
     """The many-function bound on ``per`` random sums for each case.
 
-    ``cases`` holds (p, upper, rng) triples; the bound is read as an upper
-    bound when ``upper``, a lower bound otherwise. Each sum has 3 to 8
-    terms, its length n drawn from ``rng`` and its terms by one call
-    ``draw(rng, p, n)`` as _draws' columns. Returns (violations, worst margin).
-    """
+    ``cases`` holds (p, upper, rng) triples: an upper bound when ``upper``, else a lower
+    one. A case reads ``per`` raw words first, word k giving sum k's size, then draws each
+    chunk of up to SUM_CHUNK sums by one call ``draw(rng, p, n)``, n its terms, as _draws'
+    columns. With _draws, sum k is _draws(rng, p, sizes[k]) after advance(per + 18 *
+    sum(sizes[:k])) from the case's start. Returns (violations, worst margin)."""
     def margins():
         for p_val, upper, rng in cases:
-            p = classify(p_val)
-            sign = 1.0 if upper else -1.0
+            p, sign = classify(p_val), 1.0 if upper else -1.0
+            w = rng.bit_generator.random_raw(per)  # the size words, decoded in place
+            np.right_shift(np.multiply(np.right_shift(w, 11, out=w), 6, out=w), 53, out=w)
+            w = w.astype(np.int8) + 3  # 3 + ((w >> 11) * 6 >> 53): a byte a sum from here
             for done in range(0, per, SUM_CHUNK):
-                drawn = [draw(rng, p.p, int(rng.integers(3, 9)))
-                         for _ in range(min(SUM_CHUNK, per - done))]
-                sizes = [len(lengths) for lengths, _, _ in drawn]
-                moments, z, sums = group_norms(*map(np.concatenate, zip(*drawn)), sizes, p.p)
+                sizes = w[done:done + SUM_CHUNK]
+                moments, z, sums = group_norms(*draw(rng, p.p, int(sizes.sum())), sizes, p.p)
                 for m, overlap, actual in zip(np.split(moments, np.cumsum(sizes)[:-1]),
                                               z.tolist(), sums.tolist()):
                     yield sign * (sum_bound(m, overlap, p) - actual) / max(1.0, abs(actual))

@@ -501,13 +501,13 @@ class TestOracleCompare:
     ["verify", "oracle", "--n", "1000000000000000"],
     ["oracle-compare", "-p", "3", "--n", "1000000000000000"],
     ["verify", "pair", "--samples", "100000000000000000"],
-], ids=["verify-oracle", "oracle-compare", "verify-pair"])
+    ["verify", "sum", "--samples", "100000000000000000"],
+], ids=["verify-oracle", "oracle-compare", "verify-pair", "verify-sum"])
 def test_impossible_allocation_exit2(capsys, argv):
     """A request whose first array exceeds 2^47 bytes, a 47-bit address
     space, is exit 2 with numpy's message, not a traceback's 1; the
-    allocation fails at once, so no memory is touched. (verify sum hands the
-    kernel SUM_CHUNK sums at a time, so a huge --samples runs instead of
-    failing.)"""
+    allocation fails at once, so no memory is touched. (verify sum's first
+    array is a case's size words, one per sum.)"""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -32,10 +32,11 @@ def reference_pair_sweep(seed, samples):
 
 
 def reference_sum_sweep(seed, samples, tally=_tally):
-    """The sum sweep one term at a time: a one-function
-    random_step_functions call per term, then the moments, overlaps and sum
-    norm of each sum by the list kernels: the overlaps added in i < j order
-    from 0.0 (Python 3.12's sum() compensates), the terms folded by _refine."""
+    """The sum sweep one term at a time: each case's size words decoded one
+    Python int at a time, a one-function random_step_functions call per term,
+    then the moments, overlaps and sum norm of each sum by the list kernels:
+    the overlaps added in i < j order from 0.0 (Python 3.12's sum()
+    compensates), the terms folded by _refine."""
     upper, lower = substreams(seed, 2)
     cases = ([(p, True, upper) for p in SUM_UPPER_PS]
              + [(p, False, lower) for p in SUM_LOWER_PS])
@@ -45,9 +46,9 @@ def reference_sum_sweep(seed, samples, tally=_tally):
         for p_val, upper, rng in cases:
             p = classify(p_val)
             sign = 1.0 if upper else -1.0
-            for _ in range(per):
+            for w in rng.bit_generator.random_raw(per).tolist():
                 fs = [random_step_functions(rng, p.p, 1)[0]
-                      for _ in range(int(rng.integers(3, 9)))]
+                      for _ in range(3 + ((w >> 11) * 6 >> 53))]
                 moments = [pth_power_norm(f, p.p) for f in fs]
                 overlaps = 0.0
                 for i, f in enumerate(fs):
@@ -432,6 +433,38 @@ class TestSumSweep:
     def test_matches_per_term_loop(self, seed, samples):
         assert repr(sum_sweep(seed, samples)) == repr(
             reference_sum_sweep(seed, samples))
+
+    def test_size_words_then_records(self):
+        """Each case reads its ``per`` size words first, then its sums'
+        functions as 18-word records, one draw call per chunk: sum k of a case
+        replays on a twin as advance(per + 18 * sum(sizes[:k])) from the case's
+        start and one _draws(twin, p, sizes[k]). Two cases share a generator,
+        as sum_sweep's do, 300 sums each: a full chunk and a short one."""
+        per, calls, rng = 300, [], fresh()
+
+        def draw(rng, p, count):
+            columns = _draws(rng, p, count)
+            calls.append(as_lists(columns))
+            return columns
+
+        def twin(words):
+            gen = fresh()
+            gen.bit_generator.advance(words)
+            return gen
+
+        suites.many_sweep([(1.5, True, rng), (2.0, False, rng)], per, draw)
+        start, want = 0, []
+        for p in (1.5, 2.0):
+            sizes = [3 + ((w >> 11) * 6 >> 53)
+                     for w in twin(start).bit_generator.random_raw(per).tolist()]
+            assert min(sizes) == 3 and max(sizes) == 8
+            ends = np.cumsum([0] + sizes).tolist()
+            want += [as_lists(_draws(twin(start + per + 18 * e), p, n))
+                     for e, n in zip(ends, sizes)]
+            start += per + 18 * ends[-1]
+        assert len(calls) == 4  # ceil(300 / SUM_CHUNK) per case
+        assert joined(calls) == joined(want)
+        assert rng.bit_generator.state == twin(start).bit_generator.state
 
     @pytest.mark.parametrize("chunk", [1, 3, 10])
     def test_any_chunk_size(self, monkeypatch, chunk):
