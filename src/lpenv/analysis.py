@@ -41,17 +41,8 @@ def g_fn(x, p):
     return 1.0 + (2.0 / pp - 1.0) * x - xpow(1.0 + x, 2.0 - pp)
 
 
-def h_fn(t, p):
-    """(t^(1/p) + t^(-1/p))^p - t - 1/t on (0, 1], for p > 0."""
-    return h_tilde_fn(t, p) - t - 1.0 / t
-
-
-def h_fn_d1(t, p):
-    return h_tilde_fn_d1(t, p) - (1.0 - xpow(t, -2.0))
-
-
 def h_fn_d2(t, p):
-    """Simplified closed form 2 t^-3 [(1+t^(2/p))^(p-2)(1+(2/p-1)t^(2/p)) - 1]."""
+    """h'' of h = h~ - t - 1/t: 2 t^-3 [(1+t^(2/p))^(p-2)(1+(2/p-1)t^(2/p)) - 1]."""
     _require_unit_interval(t)
     pp = p.p
     u = xpow(t, 2.0 / pp)
@@ -59,20 +50,8 @@ def h_fn_d2(t, p):
         xpow(1.0 + u, pp - 2.0) * (1.0 + (2.0 / pp - 1.0) * u) - 1.0)
 
 
-def h_tilde_fn(t, p):
-    """(t^(1/p) + t^(-1/p))^p on (0, 1]; for p < 0 concave with h'(1) = 0."""
-    _require_unit_interval(t)
-    return fan_power(t, p.p, p.p)
-
-
-def h_tilde_fn_d1(t, p):
-    _require_unit_interval(t)
-    pp, inv = p.p, 1.0 / p.p
-    return (fan_power(t, pp, pp - 1.0)
-            * (xpow(t, inv - 1.0) - xpow(t, -inv - 1.0)))
-
-
 def h_tilde_fn_d2(t, p):
+    """h~'' of h~(t) = (t^(1/p) + t^(-1/p))^p on (0, 1], G_p's fan coefficient."""
     _require_unit_interval(t)
     pp, inv = p.p, 1.0 / p.p
     return (2.0 * xpow(t, -2.0) * fan_power(t, pp, pp - 2.0)

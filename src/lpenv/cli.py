@@ -203,8 +203,11 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(words) - 1)):  # argparse reads "-1e-3" as an option
+        if words[i] in ("-p", "--p-list") and words[i + 1].startswith("-"):
+            words[i:i + 2] = [words[i] + "=" + words[i + 1]]
+    args = build_parser().parse_args(words)
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError, MemoryError) as exc:

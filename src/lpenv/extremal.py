@@ -7,9 +7,8 @@ p < 0) for G_p.
 """
 
 import math
-import sys
 
-from .powers import INF, sqrt_product, xpow
+from .powers import INF, TINY, sqrt_product, xpow
 from .stepfun import StepFunction
 
 
@@ -26,7 +25,7 @@ def extremal_F(p, t):
     sq = sqrt_product(max(0.0, s - 2.0 * z), s + 2.0 * z)
     big = 0.5 * (s + sq)
     zz = z * z  # small = (s - sq)/2, stable; z*(z/big) off zz's normal range
-    small = zz / big if sys.float_info.min <= zz < INF else z * (z / big)
+    small = zz / big if TINY <= zz < INF else z * (z / big)
     c = 0.5 if sq == 0.0 else min(1.0, max(0.0, 0.5 + (x - y) / (2.0 * sq)))
     a, b = xpow(big, 1.0 / p.p), xpow(small, 1.0 / p.p)
     if 0.0 < c < 1.0:

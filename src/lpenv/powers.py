@@ -73,7 +73,7 @@ def power_sum(u, v, p):
 
 
 def fan_power(t, p, e):
-    """(t^(1/p) + t^(-1/p))^e: G_p's fan coefficient at e = p, and the
-    factor of h~ and its derivatives at e = p, p - 1, p - 2."""
+    """(t^(1/p) + t^(-1/p))^e: G_p's fan coefficient h~ at e = p, and a
+    factor of h~'' at e = p - 2."""
     inv = 1.0 / p
     return xpow(xpow(t, inv) + xpow(t, -inv), e)

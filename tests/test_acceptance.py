@@ -18,6 +18,7 @@ from lpenv.powers import xpow
 from lpenv.sampling import random_pair, substreams
 from lpenv.stepfun import StepFunction, sum_norm, triple_of_pair
 from lpenv.suites import P_GRID
+from highprec import ref_diff, ref_h, ref_h_tilde
 from reference_draw import columns
 
 
@@ -159,32 +160,18 @@ def test_criterion_6_sign_tables():
                 issues.append("g(0)@%g" % p_val)
         if not h_ok:
             issues.append(("h''@%g" if p_val > 0 else "ht''@%g") % p_val)
-    # closed-form derivatives against central differences of the level below
-    step = 1e-5
-    fd_worst = 0.0
-    for p_val in (0.5, 1.3, 2.5):
+    # closed-form second derivatives against 50-digit derivatives of h and h~
+    d2_worst = 0.0
+    cases = [(analysis.h_fn_d2, ref_h, p_val) for p_val in (0.5, 1.3, 2.5)]
+    cases += [(analysis.h_tilde_fn_d2, ref_h_tilde, p_val) for p_val in (-2.0, -1.0)]
+    for fn, ref, p_val in cases:
         p = classify(p_val)
         for t in (0.2, 0.5, 0.9):
-            fd1 = (analysis.h_fn(t + step, p) - analysis.h_fn(t - step, p)) / (2 * step)
-            fd2 = (analysis.h_fn_d1(t + step, p) - analysis.h_fn_d1(t - step, p)) / (2 * step)
-            fd_worst = max(
-                fd_worst,
-                abs(analysis.h_fn_d1(t, p) - fd1) / max(1.0, abs(fd1)),
-                abs(analysis.h_fn_d2(t, p) - fd2) / max(1.0, abs(fd2)),
-            )
-    for p_val in (-2.0, -1.0):
-        p = classify(p_val)
-        for t in (0.2, 0.5, 0.9):
-            fd1 = (analysis.h_tilde_fn(t + step, p) - analysis.h_tilde_fn(t - step, p)) / (2 * step)
-            fd2 = (analysis.h_tilde_fn_d1(t + step, p) - analysis.h_tilde_fn_d1(t - step, p)) / (2 * step)
-            fd_worst = max(
-                fd_worst,
-                abs(analysis.h_tilde_fn_d1(t, p) - fd1) / max(1.0, abs(fd1)),
-                abs(analysis.h_tilde_fn_d2(t, p) - fd2) / max(1.0, abs(fd2)),
-            )
-    ok = not issues and fd_worst <= 1e-6
+            d2 = float(ref_diff(lambda u: ref(p_val, u), t, 2))
+            d2_worst = max(d2_worst, abs(fn(t, p) - d2) / max(1.0, abs(d2)))
+    ok = not issues and d2_worst <= 1e-6
     report(6, "sign tables", ok,
-           "issues=%s fd_err=%.2e" % (",".join(issues) or "none", fd_worst))
+           "issues=%s d2_err=%.2e" % (",".join(issues) or "none", d2_worst))
 
 
 def _step_function(rng, p):

@@ -66,10 +66,6 @@ class TestGFn:
 
 
 class TestHFn:
-    def test_stationary_at_one(self):
-        for p_val in (0.5, 1.3, 2.5, 4.0):
-            assert abs(analysis.h_fn_d1(1.0, classify(p_val))) <= 1e-12
-
     @pytest.mark.parametrize("p_val", [0.5, 0.9, 1.3, 1.7, 2.5, 4.0])
     def test_sign_chain_with_g(self, p_val):
         # sign(h'') follows sign(g_p(t^(2/p)))
@@ -85,33 +81,15 @@ class TestHFn:
     @pytest.mark.parametrize("p_val", [0.5, 1.3, 2.5])
     def test_derivatives_match_high_precision(self, t, p_val):
         p = classify(p_val)
-        fun = lambda u: ref_h(p_val, u)
-        assert analysis.h_fn(t, p) == pytest.approx(float(fun(t)), rel=1e-12)
-        assert analysis.h_fn_d1(t, p) == pytest.approx(
-            float(ref_diff(fun, t, 1)), rel=1e-6)
         assert analysis.h_fn_d2(t, p) == pytest.approx(
-            float(ref_diff(fun, t, 2)), rel=1e-6)
-
-    @pytest.mark.parametrize("t", [0.2, 0.5, 0.9])
-    def test_derivatives_match_central_differences(self, t):
-        p = classify(2.5)
-        h = 1e-5
-        fd1 = (analysis.h_fn(t + h, p) - analysis.h_fn(t - h, p)) / (2 * h)
-        fd2 = (analysis.h_fn(t + h, p) - 2 * analysis.h_fn(t, p)
-               + analysis.h_fn(t - h, p)) / (h * h)
-        assert analysis.h_fn_d1(t, p) == pytest.approx(fd1, rel=1e-6)
-        assert analysis.h_fn_d2(t, p) == pytest.approx(fd2, rel=1e-4)
+            float(ref_diff(lambda u: ref_h(p_val, u), t, 2)), rel=1e-6)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            analysis.h_fn(0.0, classify(2.5))
+            analysis.h_fn_d2(0.0, classify(2.5))
 
 
 class TestHTilde:
-    def test_stationary_at_one(self):
-        for p_val in (-2.0, -1.0, -0.5):
-            assert abs(analysis.h_tilde_fn_d1(1.0, classify(p_val))) <= 1e-12
-
     @pytest.mark.parametrize("p_val", [-2.0, -1.0, -0.5])
     def test_concave(self, p_val):
         p = classify(p_val)
@@ -122,12 +100,8 @@ class TestHTilde:
     @pytest.mark.parametrize("p_val", [-2.0, -1.0])
     def test_derivatives_match_high_precision(self, t, p_val):
         p = classify(p_val)
-        fun = lambda u: ref_h_tilde(p_val, u)
-        assert analysis.h_tilde_fn(t, p) == pytest.approx(float(fun(t)), rel=1e-12)
-        assert analysis.h_tilde_fn_d1(t, p) == pytest.approx(
-            float(ref_diff(fun, t, 1)), rel=1e-6)
         assert analysis.h_tilde_fn_d2(t, p) == pytest.approx(
-            float(ref_diff(fun, t, 2)), rel=1e-6)
+            float(ref_diff(lambda u: ref_h_tilde(p_val, u), t, 2)), rel=1e-6)
 
 
 def paper_direction(p_val):
@@ -203,8 +177,7 @@ class TestTorsion:
         assert rep.blowups == []
 
 
-ARRAY_FUNCTIONS = ("v_fn", "g_fn", "h_fn", "h_fn_d1", "h_fn_d2", "h_tilde_fn",
-                   "h_tilde_fn_d1", "h_tilde_fn_d2")
+ARRAY_FUNCTIONS = ("v_fn", "g_fn", "h_fn_d2", "h_tilde_fn_d2")
 
 
 class TestArrayInputs:
@@ -229,7 +202,6 @@ class TestArrayInputs:
     def test_unit_interval_rejects_one_entry_outside(self, bad):
         ts = np.linspace(0.1, 1.0, 10)
         ts[4] = bad
-        for fn in (analysis.h_fn_d2, analysis.h_tilde_fn, analysis.h_tilde_fn_d1,
-                   analysis.h_tilde_fn_d2):
+        for fn in (analysis.h_fn_d2, analysis.h_tilde_fn_d2):
             with pytest.raises(ValueError):
                 fn(ts, classify(2.5))

@@ -181,36 +181,6 @@ def ref_boundary_value(p, s):
     return xpow(xpow(1.0 + s, inv) + xpow(1.0 - s, inv), p.p)
 
 
-def ref_h(t, p):
-    pp = p.p
-    inv = 1.0 / pp
-    return xpow(xpow(t, inv) + xpow(t, -inv), pp) - t - 1.0 / t
-
-
-def ref_h_d1(t, p):
-    pp = p.p
-    inv = 1.0 / pp
-    return (
-        xpow(xpow(t, inv) + xpow(t, -inv), pp - 1.0)
-        * (xpow(t, inv - 1.0) - xpow(t, -inv - 1.0))
-        - (1.0 - t ** -2.0)
-    )
-
-
-def ref_h_tilde(t, p):
-    pp = p.p
-    inv = 1.0 / pp
-    return xpow(xpow(t, inv) + xpow(t, -inv), pp)
-
-
-def ref_h_tilde_d1(t, p):
-    pp = p.p
-    inv = 1.0 / pp
-    return xpow(xpow(t, inv) + xpow(t, -inv), pp - 1.0) * (
-        xpow(t, inv - 1.0) - xpow(t, -inv - 1.0)
-    )
-
-
 def ref_h_tilde_d2(t, p):
     pp = p.p
     inv = 1.0 / pp
@@ -252,12 +222,8 @@ class TestRerouted:
             assert boundary_value(p, 1.0) == boundary_value(p, -1.0) == 0.0
 
     @pytest.mark.parametrize("fn, ref", [
-        (analysis.h_fn, ref_h),
-        (analysis.h_fn_d1, ref_h_d1),
-        (analysis.h_tilde_fn, ref_h_tilde),
-        (analysis.h_tilde_fn_d1, ref_h_tilde_d1),
         (analysis.h_tilde_fn_d2, ref_h_tilde_d2),
-    ], ids=["h", "h_d1", "h_tilde", "h_tilde_d1", "h_tilde_d2"])
+    ], ids=["h_tilde_d2"])
     def test_analysis(self, p_val, fn, ref):
         p = classify(p_val)
         for t in TS:
