@@ -7,6 +7,7 @@ output is printed with 17 significant digits; exit status is 0 on pass,
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -152,10 +153,10 @@ def cmd_table(args):
 def cmd_oracle_compare(args):
     if args.grid < 3:  # interior_grid holds no point below 3
         raise ValueError("--grid must be at least 3, got %d" % args.grid)
-    oc = EnvelopeOracle(classify(args.p), args.kind, args.n)
-    s, z, cf = suites.closed_columns(oc, args.grid)  # formatted while the hull builds
+    oc = EnvelopeOracle(classify(args.p), args.n)
+    s, z, cf = suites.closed_columns(oc.curve.p, args.kind, args.grid)  # formatted while it builds
     texts = _texts(s, z, cf)
-    ov = oc.evaluate(s, z)
+    ov = oc.evaluate(s, z, args.kind)
     texts += _texts(ov, np.abs(ov - cf))
     rows = map(",".join, zip([fmt(oc.curve.p.p)] * len(s), *texts, ["%d" % args.n] * len(s)))
     return _write_csv(["p,s,z,closed_form,oracle,abs_err,N", *rows], args.out)
@@ -205,8 +206,10 @@ def build_parser():
 def main(argv=None):
     words = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(words) - 1)):  # argparse reads "-1e-3" as an option
-        if words[i] in ("-p", "--p-list") and words[i + 1].startswith("-"):
-            words[i:i + 2] = [words[i] + "=" + words[i + 1]]
+        flag, value = words[i], words[i + 1]  # --p-lis, --p, ...: --p-list, joined before a number
+        if value.startswith("-") and (flag in ("-p", "--p-list") or re.match(r"-\.?\d", value)
+                                       and flag.startswith("--p") and "--p-list".startswith(flag)):
+            words[i:i + 2] = [flag + "=" + value]
     args = build_parser().parse_args(words)
     try:
         return args.func(args)

@@ -8,7 +8,6 @@ the true envelope, converging as the resolution grows, and never consults
 the closed forms it is used to check.
 """
 
-import copy
 import os
 
 import numpy as np
@@ -50,26 +49,22 @@ class BoundaryCurve:
 # Elements in each of evaluate's two scratch buffers (8 bytes apiece).
 _BLOCK_ELEMENTS = 1 << 16
 
-_OPPOSITE = {"concave": "convex", "convex": "concave"}
+KINDS = ("concave", "convex")
 _BUILDER = []  # the two threads that build every hull, started at the first build
 os.register_at_fork(after_in_child=_BUILDER.clear)  # a forked child starts its own
 
 
 class EnvelopeOracle:
-    """Concave or convex envelope of a BoundaryCurve's node data.
+    """Concave and convex envelopes of a BoundaryCurve's node data.
 
     One qhull build carries both kinds: the concave envelope is read off
-    the upper facets of the hull and the convex one off the lower facets,
-    so ``opposite`` gives the other kind without a second build.
+    the upper facets of the hull and the convex one off the lower facets.
     """
 
-    def __init__(self, p, kind, n=512):
-        if kind not in _OPPOSITE:
-            raise ValueError("kind must be 'concave' or 'convex'")
+    def __init__(self, p, n=512):
         if not -21.0 <= p.p <= 26.5:  # the values scale as 2^p: outside, error stops falling in n
             raise ValueError("the oracle converges only for -21 <= p <= 26.5, got p = %r" % p.p)
         self.curve = BoundaryCurve(p, n)
-        self.kind = kind
         if not _BUILDER:  # concurrent.futures, like scipy, loads at the first build
             from concurrent.futures import ThreadPoolExecutor
             _BUILDER.append(ThreadPoolExecutor(max_workers=2))
@@ -86,7 +81,7 @@ class EnvelopeOracle:
                                 rcond=None)[0]
         fitted = pts[:, :2] @ coeff[:2] + coeff[2]
         if np.max(np.abs(fitted - pts[:, 2])) < 1e-9 * np.max(np.abs(pts[:, 2])):
-            return dict.fromkeys(_OPPOSITE, tuple(np.array([c]) for c in coeff))
+            return dict.fromkeys(KINDS, tuple(np.array([c]) for c in coeff))
         from scipy.spatial import QhullError  # loaded with qhull itself
         try:
             eqs = ConvexHull(pts).equations  # a*s + b*z + c*v + d <= 0 inside
@@ -104,14 +99,8 @@ class EnvelopeOracle:
             planes[kind] = tuple(np.ascontiguousarray(abc[first].T))
         return planes
 
-    def opposite(self):
-        """The oracle of the other kind over the same curve and hull."""
-        other = copy.copy(self)
-        other.kind = _OPPOSITE[self.kind]
-        return other
-
-    def evaluate(self, s, z):
-        """Envelope estimate at the points (s, z) of the closed half-disc D.
+    def evaluate(self, s, z, kind):
+        """The ``kind`` envelope's estimate at the points (s, z) of the closed half-disc D.
 
         ``s`` and ``z`` broadcast against each other by numpy's rules; the
         result has their broadcast shape, and is a float when both are
@@ -121,14 +110,16 @@ class EnvelopeOracle:
         Each scanning thread also holds numpy's ufunc buffer, about 130 KB, so
         a split scan holds it twice.
         """
+        if kind not in KINDS:
+            raise ValueError("kind must be 'concave' or 'convex'")
         s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=float)
         if not (np.all(np.abs(s) <= 1.0 + 1e-12) and np.all(z >= -1e-12)
                 and np.all(s * s + z * z <= 1.0 + 1e-9)):  # NaN fails each test
             raise ValueError("query outside the closed half-disc D")
         s, z = np.broadcast_arrays(s, z)
         shape, s, z = s.shape, s.ravel(), z.ravel()
-        a, b, c = self._planes.result()[self.kind]  # a failed build raises here
-        reduce = np.minimum.reduce if self.kind == "concave" else np.maximum.reduce
+        a, b, c = self._planes.result()[kind]  # a failed build raises here
+        reduce = np.minimum.reduce if kind == "concave" else np.maximum.reduce
         rows = max(1, _BLOCK_ELEMENTS // len(a))
         halves = s.size >= 2 * rows and _BUILDER  # a forked child has no workers
         mid, rows = (s.size // 2, max(1, rows // 2)) if halves else (s.size, rows)

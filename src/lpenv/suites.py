@@ -115,7 +115,7 @@ def sign_tables():
     for p_val in SIGN_EXPONENTS:
         p = classify(p_val)
         # g and h'' (h~'' for p < 0) are >= 0 where F_p is the concave
-        # envelope and <= 0 where G_p is; v has the opposite sign
+        # envelope and <= 0 where G_p is; v has the reverse sign
         sign = 1 if p.f_is_concave else -1
         h = analysis.h_fn_d2 if p_val > 0 else analysis.h_tilde_fn_d2
         g_ok = p_val < 0 or keeps(analysis.g_fn, p, sign)
@@ -145,11 +145,11 @@ def interior_grid(m=20):
     return np.column_stack((s[keep], z[keep]))
 
 
-def closed_columns(oc, m=20):
-    """s, z and the closed form of the oracle ``oc``'s kind over interior_grid(m)."""
+def closed_columns(p, kind, m=20):
+    """s, z and the closed form of the ``kind`` envelope at p over interior_grid(m)."""
     s, z = interior_grid(m).T
-    _, _, upper, lower, _ = envelope_arrays(oc.curve.p, 1.0 + s, 1.0 - s, z)
-    return s, z, upper if oc.kind == "concave" else lower
+    _, _, upper, lower, _ = envelope_arrays(p, 1.0 + s, 1.0 - s, z)
+    return s, z, upper if kind == "concave" else lower
 
 
 def oracle_errors(n):
@@ -158,14 +158,14 @@ def oracle_errors(n):
     at n nodes. Every exponent's hull is queued at once, in P_GRID order, and
     the workers build them while the ones before are compared."""
     s, z = interior_grid().T
-    ahead = [EnvelopeOracle(classify(p_val), "concave", n) for p_val in P_GRID]
+    ahead = [EnvelopeOracle(classify(p_val), n) for p_val in P_GRID]
     try:
         for p_val in P_GRID:
             oc = ahead.pop(0)  # each exponent's hull is let go once compared
             _, _, upper, lower, _ = envelope_arrays(oc.curve.p, 1.0 + s, 1.0 - s, z)
-            for oc, cf in ((oc, upper), (oc.opposite(), lower)):
-                err = np.max(np.abs(oc.evaluate(s, z) - cf) / np.maximum(1.0, np.abs(cf)))
-                yield p_val, oc.kind, float(err)
+            for kind, cf in (("concave", upper), ("convex", lower)):
+                err = np.max(np.abs(oc.evaluate(s, z, kind) - cf) / np.maximum(1.0, np.abs(cf)))
+                yield p_val, kind, float(err)
     finally:  # a closed or failed sweep leaves no build queued
         for oc in ahead:
             oc._planes.cancel()

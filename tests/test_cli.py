@@ -247,7 +247,7 @@ class TestVerify:
     def test_oracle_nan_error_exit1(self, capsys, monkeypatch):
         """A NaN oracle value gives a NaN error: each one is a violation."""
         monkeypatch.setattr(suites.EnvelopeOracle, "evaluate",
-                            lambda self, s, z: np.full(np.shape(s), np.nan))
+                            lambda self, s, z, kind: np.full(np.shape(s), np.nan))
         code, out, _ = run(capsys, "verify", "oracle", "--n", "64")
         assert code == 1
         assert out.splitlines()[-1] == "violations=%d worst_margin=nan" % (
@@ -438,9 +438,8 @@ class TestTable:
 def ref_oracle_compare(p_val, kind, n, grid):
     """The oracle-compare CSV row by row: each row's floats through fmt."""
     p = classify(p_val)
-    oc = EnvelopeOracle(p, kind, n)
-    ss, zs, closed = suites.closed_columns(oc, grid)
-    cols = (ss, zs, closed, oc.evaluate(ss, zs))
+    ss, zs, closed = suites.closed_columns(p, kind, grid)
+    cols = (ss, zs, closed, EnvelopeOracle(p, n).evaluate(ss, zs, kind))
     rows = ["p,s,z,closed_form,oracle,abs_err,N"]
     for s, z, cf, ov in zip(*(c.tolist() for c in cols)):
         rows.append(",".join(
@@ -554,11 +553,18 @@ def test_import_leaves_out_scipy_spatial():
     (["oracle-compare", "-p", "-1e0", "--n", "16", "--grid", "3"],
      ["oracle-compare", "-p", "-1", "--n", "16", "--grid", "3"]),
     (["table", "--p-list", "-1,3", "--grid", "2"], ["table", "--p-list=-1,3", "--grid", "2"]),
-], ids=["bound", "extremal", "oracle-compare", "table"])
+    (["table", "--p-lis", "-1,3", "--grid", "2"], ["table", "--p-list=-1,3", "--grid", "2"]),
+    (["table", "--grid", "2", "--p", "-.5e0"], ["table", "--p-list=-0.5", "--grid", "2"]),
+    (["verify", "sum", "--p-", "--seed", "3", "--samples", "70"], ["verify", "sum", "--p-neg"]),
+    (["verify", "sum", "--p-n"], ["verify", "sum", "--p-neg"]),
+], ids=["bound", "extremal", "oracle-compare", "table", "table-abbreviated", "table-p",
+        "verify-p-", "verify-p-n"])
 def test_negative_exponent_in_e_notation(capsys, argv, twin):
     """argparse reads "-1e-1" or "-1,3" after a flag as an option, not a value
     (its negative-number pattern has no exponent or list form); main joins it
-    to the flag, so it prints its decimal twin's bytes."""
+    to the flag, or to an abbreviation of --p-list, so it prints its decimal
+    twin's bytes. "--p-" also abbreviates verify's --p-neg, which takes no
+    value, so an abbreviation is joined only before a number."""
     code, out, _ = run(capsys, *twin)
     given = list(argv)
     assert (main(given), capsys.readouterr().out) == (code, out)

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from highprec import ref_F, ref_G, ref_carlen, ref_two_point
 from lpenv import envelopes
-from lpenv.envelopes import (BoundReport, ConeTriple, carlen_bound, classify,
+from lpenv.envelopes import (MARGIN_TOL, BoundReport, ConeTriple, carlen_bound, classify,
                              envelope_arrays, eval_F, eval_G, lower_envelope,
                              sum_bound, upper_envelope)
 from lpenv.powers import xpow
-from lpenv.stepfun import StepFunction, pth_power_norm, sum_norm
-from lpenv.suites import P_GRID
+from lpenv.stepfun import StepFunction, group_norms, pth_power_norm, sum_norm
+from lpenv.suites import P_GRID, SUM_LOWER_PS, SUM_UPPER_PS
+from reference_draw import columns
 
 
 class TestClassify:
@@ -423,6 +424,66 @@ class TestSumBound:
         # the p = -1 three-constant counterexample's right-hand side
         p = 2.0 ** -1.0 - 2.0
         assert 3.0 + p * 3.0 == pytest.approx(-1.5)
+
+
+# The tight family's block values, block b taking entry b mod 10: fixed, not drawn.
+TIGHT_VALUES = (0.7, 2.3, 1.1, 3.9, 0.25, 1.6, 4.4, 0.9, 2.8, 1.35)
+
+
+def tight_family(k):
+    """_draws' columns of k step functions on one partition of [0, 1] into
+    k // 2 + k equal blocks: functions 2i and 2i + 1 share block i at one
+    value, function j has block k // 2 + j to itself, and every other value
+    is 0. At each point one function is nonzero, or two equal ones, where
+    (2a)^p = 2 a^p + (2^p - 2)(a a)^(p/2): the many-function bound's
+    pointwise inequality holds with equality everywhere."""
+    blocks, pairs = k + k // 2, k // 2
+    bps = np.linspace(0.0, 1.0, blocks + 1).tolist()
+    functions = []
+    for j in range(k):
+        vals = [0.0] * blocks
+        for b in (j // 2, pairs + j) if j < 2 * pairs else (pairs + j,):
+            vals[b] = TIGHT_VALUES[b % len(TIGHT_VALUES)]
+        functions.append((bps, vals))
+    return columns(functions)
+
+
+class TestTightSumFamily:
+    """The many-function bound integrates, interval by interval, the pointwise
+    (sum t_j)^p <= sum t_j^p + (2^p - 2) sum_{i<j} (t_i t_j)^(p/2), reversed
+    for the lower cases. Random sums never come near its equality case at p
+    outside {1, 2} (verify sum's worst margin reads +3.0e-3), so a wrong
+    coefficient passes them; the tight family is that equality case."""
+
+    @staticmethod
+    def margins(k):
+        """(p, margin, overlaps, scale) of the k-function tight family at each
+        exponent of SUM_UPPER_PS (upper bound) and SUM_LOWER_PS (lower bound):
+        group_norms and sum_bound, with many_sweep's sign and max(1, |actual|)
+        scale."""
+        for ps, sign in ((SUM_UPPER_PS, 1.0), (SUM_LOWER_PS, -1.0)):
+            for p_val in ps:
+                moments, z, actual = group_norms(*tight_family(k), [k], p_val)
+                z, actual = float(z[0]), float(actual[0])
+                scale = max(1.0, abs(actual))
+                margin = sign * (sum_bound(moments, z, classify(p_val)) - actual) / scale
+                yield p_val, margin, z, scale
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_margin_is_rounding(self, k):
+        """Within 1e-12 of 0 (measured: -3.4e-16 at worst), and a pass."""
+        for p_val, margin, _, _ in self.margins(k):
+            assert margin >= -MARGIN_TOL and abs(margin) <= 1e-12, (p_val, margin)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_coefficient_error_is_flagged(self, k):
+        """A relative error of 1e-7 in 2^p - 2 moves the bound by
+        |2^p - 2| z 1e-7, and for one of its two signs the margin below
+        -MARGIN_TOL, at every exponent but p = 1, where 2^p - 2 = 0 (measured:
+        the least move is 2.7e-9, at k = 3 and p = 3)."""
+        for p_val, margin, z, scale in self.margins(k):
+            if p_val != 1.0:
+                assert margin - abs(2.0 ** p_val - 2.0) * z * 1e-7 / scale < -MARGIN_TOL, p_val
 
 
 def random_triples(seed, count):

@@ -15,15 +15,16 @@ import pytest
 import lpenv
 from lpenv import oracle, suites
 from lpenv.cli import main
-from lpenv.envelopes import ConeTriple, classify, lower_envelope, upper_envelope
+from lpenv.envelopes import (ConeTriple, classify, envelope_arrays, lower_envelope,
+                             upper_envelope)
 from lpenv.oracle import BoundaryCurve, EnvelopeOracle, boundary_value
 from lpenv.suites import P_GRID, closed_columns, interior_grid
 
 from empirical import empirical_B
 
 
-def _planes(oc):
-    return oc._planes.result()[oc.kind]
+def _planes(oc, kind):
+    return oc._planes.result()[kind]
 
 
 @pytest.fixture(autouse=True)
@@ -45,16 +46,31 @@ def _scan(kind, planes, ss, zs):
     return np.array([pick(a * s + b * z + c) for s, z in zip(ss, zs)])
 
 
-def _reference(oc, ss, zs):
-    """The scan over the oracle's own facet planes."""
-    return _scan(oc.kind, _planes(oc), ss, zs)
+def _reference(oc, kind, ss, zs):
+    """The scan over the oracle's own facet planes of that kind."""
+    return _scan(kind, _planes(oc, kind), ss, zs)
 
 
-def _max_rel_err(oc):
-    """The largest |oracle - closed form| / max(1, |closed form|) over
-    interior_grid(), through closed_columns and evaluate."""
-    s, z, cf = closed_columns(oc)
-    return float(np.max(np.abs(oc.evaluate(s, z) - cf) / np.maximum(1.0, np.abs(cf))))
+def _max_rel_err(oc, kind):
+    """The largest |oracle - closed form| / max(1, |closed form|) of one kind
+    over interior_grid(), through closed_columns and evaluate."""
+    s, z, cf = closed_columns(oc.curve.p, kind)
+    return float(np.max(np.abs(oc.evaluate(s, z, kind) - cf) / np.maximum(1.0, np.abs(cf))))
+
+
+def _wrong_side(oc, eps=0.0):
+    """{kind: the largest sign * (oracle - closed form) over interior_grid()},
+    sign 1 for the concave kind, which the oracle never exceeds inside the
+    nodes' hull, and -1 for the convex kind, which it never falls below. Each
+    kind is one array evaluate against envelope_arrays' column; ``eps`` shifts
+    that column by eps (p-1)(p-2)(sqrt(xy) - z) z / (x+y), which vanishes at
+    p = 1 and 2 and on the boundary."""
+    s, z = interior_grid().T
+    _, _, upper, lower, _ = envelope_arrays(oc.curve.p, 1.0 + s, 1.0 - s, z)
+    p = oc.curve.p.p
+    shift = eps * (p - 1.0) * (p - 2.0) * (np.sqrt(1.0 - s * s) - z) * z / 2.0
+    return {kind: float(np.max(sign * (oc.evaluate(s, z, kind) - cf - shift)))
+            for kind, sign, cf in (("concave", 1.0, upper), ("convex", -1.0, lower))}
 
 
 class TestBoundaryCurve:
@@ -141,49 +157,62 @@ class TestEndpointDiameter:
 class TestOracleEnvelope:
     def test_boundary_node_coincidence(self):
         p = classify(3)
-        oc = EnvelopeOracle(p, "concave", 128)
+        oc = EnvelopeOracle(p, 128)
         s, z = oc.curve.nodes[10]
-        val = float(oc.evaluate(np.array(s), np.array(z)))
+        val = float(oc.evaluate(np.array(s), np.array(z), "concave"))
         assert val == pytest.approx(oc.curve.values[10], rel=1e-9)
 
     def test_p2_identity(self):
-        val = EnvelopeOracle(classify(2), "concave", 512).evaluate(0.0, 0.5)
+        val = EnvelopeOracle(classify(2), 512).evaluate(0.0, 0.5, "concave")
         assert val == pytest.approx(3.0, abs=0.02)
 
     def test_convex_matches_closed_form(self):
         p = classify(1.5)
-        val = EnvelopeOracle(p, "convex", 512).evaluate(0.0, 0.3)
+        val = EnvelopeOracle(p, 512).evaluate(0.0, 0.3, "convex")
         closed = lower_envelope(p, ConeTriple(1.0, 1.0, 0.3))
         assert val == pytest.approx(closed, abs=1e-4)
 
     def test_rejects_outside_domain(self):
-        with pytest.raises(ValueError):
-            EnvelopeOracle(classify(3), "concave", 64).evaluate(0.9, 0.9)
-        with pytest.raises(ValueError):
-            EnvelopeOracle(classify(3), "sideways", 64).evaluate(0.0, 0.5)
+        """A point outside D or a kind other than the two is a ValueError; the
+        kind is checked first."""
+        oc = EnvelopeOracle(classify(3), 64)
+        with pytest.raises(ValueError, match="^query outside the closed half-disc D$"):
+            oc.evaluate(0.9, 0.9, "concave")
+        for s, z in ((0.0, 0.5), (0.9, 0.9)):
+            with pytest.raises(ValueError, match="^kind must be 'concave' or 'convex'$"):
+                oc.evaluate(s, z, "sideways")
 
     @pytest.mark.parametrize("s, z", [
         (math.nan, 0.5), (0.0, math.nan),
         (np.array([0.0, math.nan, 0.2]), 0.3), (0.1, np.array([0.2, math.nan]))])
     def test_rejects_nan(self, s, z):
         """A NaN coordinate, alone or inside an array, is outside D."""
-        oc = EnvelopeOracle(classify(3), "concave", 64)
+        oc = EnvelopeOracle(classify(3), 64)
         with pytest.raises(ValueError, match="^query outside the closed half-disc D$"):
-            oc.evaluate(s, z)
+            oc.evaluate(s, z, "concave")
 
     @pytest.mark.parametrize("p_val", P_GRID)
     def test_one_sided(self, p_val):
-        p = classify(p_val)
-        pts = interior_grid(10)
-        for kind, closed in (("concave", upper_envelope), ("convex", lower_envelope)):
-            oc = EnvelopeOracle(p, kind, 128)
-            for s, z in pts:
-                ov = float(oc.evaluate(np.array(s), np.array(z)))
-                cf = closed(p, ConeTriple(1 + s, 1 - s, z))
-                if kind == "concave":
-                    assert ov <= cf + 1e-12, (p_val, s, z)
-                else:
-                    assert ov >= cf - 1e-12, (p_val, s, z)
+        """oracle <= closed form for the concave kind and >= for the convex
+        kind, over interior_grid() at N = 128 and 512, within an absolute
+        1e-12 (measured: 2.2e-15 at most, at either N)."""
+        for n in (128, 512):
+            excess = _wrong_side(EnvelopeOracle(classify(p_val), n))
+            assert max(excess.values()) <= 1e-12, (n, excess)
+
+    @pytest.mark.parametrize("eps", [1e-2, -1e-2])
+    def test_one_sided_flags_a_shifted_closed_form(self, eps):
+        """test_one_sided's bound at N = 512 flags the closed column shifted by
+        eps (p-1)(p-2)(sqrt(xy) - z) z / (x+y), for either sign of eps, at
+        every exponent but 1 and 2, in the kind the shift crosses: the convex
+        one where it raises the column, the concave one where it lowers it
+        (measured: excess 2.6e-4 at least, at p = 1.3 and 1.7)."""
+        flagged = []
+        for p_val in P_GRID:
+            excess = _wrong_side(EnvelopeOracle(classify(p_val), 512), eps)
+            flagged += [(p_val, kind) for kind, e in excess.items() if e > 1e-12]
+        assert flagged == [(p, "convex" if eps * (p - 1.0) * (p - 2.0) > 0 else "concave")
+                           for p in P_GRID if p not in (1.0, 2.0)]
 
     @pytest.mark.parametrize("p_val", P_GRID)
     def test_convergence(self, p_val):
@@ -192,12 +221,12 @@ class TestOracleEnvelope:
         errors = {}
         for n in (128, 256, 512):
             worst = 0.0
+            oc = EnvelopeOracle(p, n)
             for kind, closed in (("concave", upper_envelope),
                                  ("convex", lower_envelope)):
-                oc = EnvelopeOracle(p, kind, n)
                 ss = np.array([q[0] for q in pts])
                 zs = np.array([q[1] for q in pts])
-                ovs = oc.evaluate(ss, zs)
+                ovs = oc.evaluate(ss, zs, kind)
                 cfs = np.array([closed(p, ConeTriple(1 + s, 1 - s, z))
                                 for s, z in pts])
                 rel = np.max(np.abs(ovs - cfs) / np.maximum(1.0, np.abs(cfs)))
@@ -212,43 +241,47 @@ class TestBatchedQuery:
     @pytest.mark.parametrize("p_val", P_GRID)
     @pytest.mark.parametrize("kind", ("concave", "convex"))
     def test_matches_point_loop(self, p_val, kind):
-        oc = EnvelopeOracle(classify(p_val), kind, 128)
+        oc = EnvelopeOracle(classify(p_val), 128)
         # the interior grid, then every node of the curve
         ss, zs = np.concatenate((interior_grid(20), oc.curve.nodes)).T
-        ref = _reference(oc, ss, zs)
-        assert np.array_equal(oc.evaluate(ss, zs), ref)
+        ref = _reference(oc, kind, ss, zs)
+        assert np.array_equal(oc.evaluate(ss, zs, kind), ref)
         assert np.array_equal(
-            [oc.evaluate(s, z) for s, z in zip(ss, zs)], ref)
+            [oc.evaluate(s, z, kind) for s, z in zip(ss, zs)], ref)
 
     def test_partial_last_block(self):
-        oc = EnvelopeOracle(classify(3), "concave", 128)
-        rows = oracle._BLOCK_ELEMENTS // len(_planes(oc)[0])
+        oc = EnvelopeOracle(classify(3), 128)
+        rows = oracle._BLOCK_ELEMENTS // len(_planes(oc, "concave")[0])
         rng = np.random.default_rng(5)
         r = np.sqrt(rng.uniform(0.0, 1.0, 2 * rows + 3))
         theta = rng.uniform(0.0, np.pi, r.size)
         ss, zs = r * np.cos(theta), r * np.sin(theta)
-        assert np.array_equal(oc.evaluate(ss, zs), _reference(oc, ss, zs))
+        assert np.array_equal(oc.evaluate(ss, zs, "concave"),
+                              _reference(oc, "concave", ss, zs))
 
     def test_broadcasting(self):
-        oc = EnvelopeOracle(classify(1.5), "convex", 128)
+        oc, kind = EnvelopeOracle(classify(1.5), 128), "convex"
         ss = np.linspace(-0.9, 0.9, 7)
-        got = oc.evaluate(ss, 0.3)
+        got = oc.evaluate(ss, 0.3, kind)
         assert got.shape == ss.shape
-        assert np.array_equal(got, _reference(oc, ss, np.full(7, 0.3)))
-        got = oc.evaluate(0.2, ss[3:] / 2)
-        assert np.array_equal(got, _reference(oc, np.full(4, 0.2), ss[3:] / 2))
-        grid = oc.evaluate(ss.reshape(7, 1), np.array([0.0, 0.1, 0.4]))
+        assert np.array_equal(got, _reference(oc, kind, ss, np.full(7, 0.3)))
+        got = oc.evaluate(0.2, ss[3:] / 2, kind)
+        assert np.array_equal(got, _reference(oc, kind, np.full(4, 0.2), ss[3:] / 2))
+        grid = oc.evaluate(ss.reshape(7, 1), np.array([0.0, 0.1, 0.4]), kind)
         assert grid.shape == (7, 3)
-        assert np.array_equal(grid[:, 1], oc.evaluate(ss, 0.1))
-        assert isinstance(oc.evaluate(0.0, 0.5), float)
+        assert np.array_equal(grid[:, 1], oc.evaluate(ss, 0.1, kind))
+        assert isinstance(oc.evaluate(0.0, 0.5, kind), float)
 
     def test_empty_query(self):
-        oc = EnvelopeOracle(classify(3), "concave", 128)
-        got = oc.evaluate(np.empty(0), np.empty(0))
+        oc = EnvelopeOracle(classify(3), 128)
+        got = oc.evaluate(np.empty(0), np.empty(0), "concave")
         assert got.shape == (0,)
 
     @pytest.mark.parametrize("p_val", (-1.0, 1.0, 1.5, 2.0, 3.0))
     def test_opposite_shares_the_hull(self, p_val, monkeypatch):
+        """One oracle answers each kind and its opposite from one qhull build:
+        queries of both kinds build nothing more, the concave values are at
+        least the convex ones, and each kind's planes are a second oracle's."""
         p = classify(p_val)
         builds = []
         hull = oracle.ConvexHull
@@ -258,19 +291,17 @@ class TestBatchedQuery:
             return hull(pts)
 
         monkeypatch.setattr(oracle, "ConvexHull", counting_hull)
-        for kind in ("concave", "convex"):
-            oc = EnvelopeOracle(p, kind, 128)
-            _planes(oc)  # the background build is done before opposite() is counted
-            before = len(builds)
-            other = oc.opposite()
-            assert len(builds) == before
-            assert (oc.kind, other.kind) == (kind, oracle._OPPOSITE[kind])
-            assert other.curve is oc.curve
-            fresh = EnvelopeOracle(p, other.kind, 128)
-            for mine, theirs in zip(_planes(other), _planes(fresh)):
-                assert np.array_equal(mine, theirs)
+        oc = EnvelopeOracle(p, 128)
+        ss, zs = interior_grid(20).T
+        upper, lower = (oc.evaluate(ss, zs, kind) for kind in oracle.KINDS)
         # p = 1 and 2 are coplanar and never reach qhull
-        assert len(builds) == (0 if p.p in (1.0, 2.0) else 4)
+        assert len(builds) == (0 if p.p in (1.0, 2.0) else 1)
+        assert np.all(upper >= lower)
+        fresh = EnvelopeOracle(p, 128)
+        for kind in oracle.KINDS:
+            for mine, theirs in zip(_planes(oc, kind), _planes(fresh, kind)):
+                assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+        assert len(builds) == (0 if p.p in (1.0, 2.0) else 2)
 
 
 def _peak(fn, *args):
@@ -287,9 +318,9 @@ class TestSplitScan:
     the workers, and the caller scans it too when no worker has started it."""
 
     @staticmethod
-    def _query(oc, blocks):
-        """An odd number of random points of D spanning about ``blocks`` blocks."""
-        rows = oracle._BLOCK_ELEMENTS // len(_planes(oc)[0])
+    def _query(oc, kind, blocks):
+        """An odd number of random points of D spanning about ``blocks`` blocks of ``kind``."""
+        rows = oracle._BLOCK_ELEMENTS // len(_planes(oc, kind)[0])
         rng = np.random.default_rng(17)
         r = np.sqrt(rng.uniform(0.0, 1.0, blocks * rows + 3))
         theta = rng.uniform(0.0, np.pi, r.size)
@@ -322,14 +353,14 @@ class TestSplitScan:
     @pytest.mark.parametrize("kind", ("concave", "convex"))
     @pytest.mark.parametrize("blocks", (2, 5))
     def test_worker_free(self, kind, blocks, monkeypatch):
-        oc = EnvelopeOracle(classify(3), kind, 512)
-        ss, zs = self._query(oc, blocks)
+        oc = EnvelopeOracle(classify(3), 512)
+        ss, zs = self._query(oc, kind, blocks)
         pool, handed = self._pool(monkeypatch, wait_start=True)
         try:
-            got = oc.evaluate(ss, zs)
+            got = oc.evaluate(ss, zs, kind)
         finally:
             pool.shutdown()
-        assert np.array_equal(got.view(np.uint64), _reference(oc, ss, zs).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), _reference(oc, kind, ss, zs).view(np.uint64))
         (future, thread), = handed
         assert future.done() and not future.cancelled()
         assert thread is not threading.main_thread()
@@ -342,22 +373,22 @@ class TestSplitScan:
         Each half's two buffers are half-size: the caller's two halves, one
         after the other, peak one _BLOCK_ELEMENTS buffer below an unsplit
         scan, so two halves at once hold no more scratch than one scan."""
-        oc = EnvelopeOracle(classify(3), kind, 512)
-        ss, zs = self._query(oc, blocks)
+        oc = EnvelopeOracle(classify(3), 512)
+        ss, zs = self._query(oc, kind, blocks)
         monkeypatch.setattr(oracle, "_BUILDER", [])  # no workers: one unsplit scan
-        _, unsplit = _peak(oc.evaluate, ss, zs)
+        _, unsplit = _peak(oc.evaluate, ss, zs, kind)
         release, held = threading.Event(), threading.Barrier(3)
         pool, handed = self._pool(monkeypatch, wait_start=False)
         try:
             for _ in range(2):
                 oracle._BUILDER[0].submit(lambda: held.wait(60) + release.wait(60))
             held.wait(60)
-            got, peak = _peak(oc.evaluate, ss, zs)
+            got, peak = _peak(oc.evaluate, ss, zs, kind)
             assert not release.is_set()
         finally:
             release.set()
             pool.shutdown()
-        assert np.array_equal(got.view(np.uint64), _reference(oc, ss, zs).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), _reference(oc, kind, ss, zs).view(np.uint64))
         assert len(handed) == 3 and handed[2][0].cancelled() and handed[2][1] is None
         assert peak <= unsplit - 8 * oracle._BLOCK_ELEMENTS + 64 * ss.size
 
@@ -365,32 +396,33 @@ class TestSplitScan:
         """Four callers at once, more than the cores, each splitting its scans
         over the real workers, with a short switch interval: every value
         still equals the reference's bits."""
-        oc = EnvelopeOracle(classify(3), "convex", 512)
-        ss, zs = self._query(oc, 5)
-        ref = _reference(oc, ss, zs).view(np.uint64)
+        oc = EnvelopeOracle(classify(3), 512)
+        ss, zs = self._query(oc, "convex", 5)
+        ref = _reference(oc, "convex", ss, zs).view(np.uint64)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as callers:
-                got = list(callers.map(lambda _: oc.evaluate(ss, zs), range(16), timeout=60))
+                got = list(callers.map(lambda _: oc.evaluate(ss, zs, "convex"), range(16),
+                                       timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(g.view(np.uint64), ref) for g in got)
 
     def test_no_workers(self, monkeypatch):
         """A forked child has no workers until it builds: it scans both halves."""
-        oc = EnvelopeOracle(classify(3), "concave", 512)
-        ss, zs = self._query(oc, 5)
+        oc = EnvelopeOracle(classify(3), 512)
+        ss, zs = self._query(oc, "concave", 5)
         monkeypatch.setattr(oracle, "_BUILDER", [])
-        assert np.array_equal(oc.evaluate(ss, zs).view(np.uint64),
-                              _reference(oc, ss, zs).view(np.uint64))
+        assert np.array_equal(oc.evaluate(ss, zs, "concave").view(np.uint64),
+                              _reference(oc, "concave", ss, zs).view(np.uint64))
 
 
-def _hull_planes(oc, hull):
-    """(a, b, c) of every facet of ``hull`` of the oracle's kind, unfiltered
-    and in qhull's order: the rows the oracle keeps one of each run of."""
+def _hull_planes(oc, kind, hull):
+    """(a, b, c) of every ``kind`` facet of ``hull`` over the oracle's curve,
+    unfiltered and in qhull's order: the rows the oracle keeps one of each run of."""
     eqs = hull(np.column_stack((oc.curve.nodes, oc.curve.values))).equations
-    sign = 1.0 if oc.kind == "concave" else -1.0
+    sign = 1.0 if kind == "concave" else -1.0
     keep = eqs[sign * eqs[:, 2] > 1e-12]
     return -keep[:, 0] / keep[:, 2], -keep[:, 1] / keep[:, 2], -keep[:, 3] / keep[:, 2]
 
@@ -405,10 +437,10 @@ class TestFurthestHull:
     @staticmethod
     def _default_build_gap(p_val, kind, n, m):
         from scipy.spatial import ConvexHull
-        oc = EnvelopeOracle(classify(p_val), kind, n)
+        oc = EnvelopeOracle(classify(p_val), n)
         ss, zs = interior_grid(m).T
-        ref = _scan(kind, _hull_planes(oc, ConvexHull), ss, zs)
-        return np.max(np.abs(oc.evaluate(ss, zs) - ref) / np.maximum(1.0, np.abs(ref)))
+        ref = _scan(kind, _hull_planes(oc, kind, ConvexHull), ss, zs)
+        return np.max(np.abs(oc.evaluate(ss, zs, kind) - ref) / np.maximum(1.0, np.abs(ref)))
 
     @pytest.mark.parametrize("p_val", _HULL_P)
     @pytest.mark.parametrize("kind", ("concave", "convex"))
@@ -427,19 +459,19 @@ class TestFurthestHull:
     @pytest.mark.parametrize("n", (128, 512))
     def test_equals_scan_over_every_facet(self, p_val, kind, n):
         """Dropping repeated planes leaves every value's bits unchanged."""
-        oc = EnvelopeOracle(classify(p_val), kind, n)
+        oc = EnvelopeOracle(classify(p_val), n)
         ss, zs = np.concatenate((interior_grid(20), oc.curve.nodes)).T
-        every = _hull_planes(oc, oracle.ConvexHull)
+        every = _hull_planes(oc, kind, oracle.ConvexHull)
         full = _scan(kind, every, ss, zs)
-        assert np.array_equal(oc.evaluate(ss, zs).view(np.uint64), full.view(np.uint64))
-        assert len(_planes(oc)[0]) <= len(every[0])
+        assert np.array_equal(oc.evaluate(ss, zs, kind).view(np.uint64), full.view(np.uint64))
+        assert len(_planes(oc, kind)[0]) <= len(every[0])
 
     @pytest.mark.parametrize("p_val, kind", [(3.0, "concave"), (-1.0, "convex")])
     def test_strip_planes_kept_once(self, p_val, kind):
         """The kind that is F_p is made of two-triangle strips: about n/2
         distinct planes of n facets."""
-        oc = EnvelopeOracle(classify(p_val), kind, 512)
-        assert len(_planes(oc)[0]) < 0.6 * 512
+        oc = EnvelopeOracle(classify(p_val), 512)
+        assert len(_planes(oc, kind)[0]) < 0.6 * 512
 
     def test_runs_compared_by_bits(self, monkeypatch):
         """Only consecutive rows with equal bits collapse: a repeat after
@@ -452,7 +484,7 @@ class TestFurthestHull:
             equations = eqs
 
         monkeypatch.setattr(oracle, "ConvexHull", lambda pts: Hull)
-        a, b, c = EnvelopeOracle(classify(3), "concave", 16)._planes.result()["concave"]
+        a, b, c = _planes(EnvelopeOracle(classify(3), 16), "concave")
         assert a.tolist() == [-1.0, -0.0, 0.0, -1.0]
         assert np.signbit(a).tolist() == [True, True, False, True]
         assert (b.tolist(), c.tolist()) == ([-2.0, -1.0, -1.0, -2.0], [-3.0, -1.0, -1.0, -3.0])
@@ -480,15 +512,15 @@ class TestCeiling:
     @pytest.mark.parametrize("p_val", [26.6, 30.0, 39.5, 44.0])
     def test_above_is_value_error(self, p_val):
         with pytest.raises(ValueError) as err:
-            EnvelopeOracle(classify(p_val), "concave", 64)
+            EnvelopeOracle(classify(p_val), 64)
         assert str(err.value) == (
             "the oracle converges only for -21 <= p <= 26.5, got p = %r" % p_val)
 
     def test_error_falls_with_n_at_ceiling(self):
         errs = []
         for n in (512, 2048, 8192):
-            concave = EnvelopeOracle(classify(26.5), "concave", n)
-            errs.append(max(map(_max_rel_err, (concave, concave.opposite()))))
+            oc = EnvelopeOracle(classify(26.5), n)
+            errs.append(max(_max_rel_err(oc, kind) for kind in oracle.KINDS))
         assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-5, errs
 
 
@@ -497,11 +529,11 @@ def _rel_errs(p_val, n):
     interior_grid(), for the concave and the convex oracle at n nodes. Below
     p = 0 every value is under 1, so max(1, |closed form|) would read an
     absolute error."""
-    concave = EnvelopeOracle(classify(p_val), "concave", n)
+    oc = EnvelopeOracle(classify(p_val), n)
     errs = []
-    for oc in (concave, concave.opposite()):
-        s, z, cf = closed_columns(oc)
-        errs.append(float(np.max(np.abs(oc.evaluate(s, z) - cf) / np.abs(cf))))
+    for kind in oracle.KINDS:
+        s, z, cf = closed_columns(oc.curve.p, kind)
+        errs.append(float(np.max(np.abs(oc.evaluate(s, z, kind) - cf) / np.abs(cf))))
     return errs
 
 
@@ -514,7 +546,7 @@ class TestFloor:
                                        -30.0, -100.0])
     def test_below_is_value_error(self, p_val):
         with pytest.raises(ValueError) as err:
-            EnvelopeOracle(classify(p_val), "concave", 64)
+            EnvelopeOracle(classify(p_val), 64)
         assert str(err.value) == (
             "the oracle converges only for -21 <= p <= 26.5, got p = %r" % p_val)
 
@@ -552,8 +584,7 @@ class TestComparisonColumns:
     @pytest.mark.parametrize("kind", ("concave", "convex"))
     def test_closed_column_matches_scalar_forms(self, p_val, kind):
         p = classify(p_val)
-        oc = EnvelopeOracle(p, kind, 64)
-        s, z, closed = closed_columns(oc, 20)
+        s, z, closed = closed_columns(p, kind, 20)
         assert np.array_equal(np.column_stack((s, z)), interior_grid(20))
         scalar = upper_envelope if kind == "concave" else lower_envelope
         assert repr(closed.tolist()) == repr(
@@ -568,10 +599,10 @@ def _serial_oracle_errors(n):
     """oracle_errors as one loop over P_GRID: each exponent's hull built and
     waited for, then both kinds compared by _max_rel_err."""
     for p_val in P_GRID:
-        concave = EnvelopeOracle(classify(p_val), "concave", n)
-        _planes(concave)
-        for oc in (concave, concave.opposite()):
-            yield p_val, oc.kind, _max_rel_err(oc)
+        oc = EnvelopeOracle(classify(p_val), n)
+        oc._planes.result()
+        for kind in oracle.KINDS:
+            yield p_val, kind, _max_rel_err(oc, kind)
 
 
 class TestBackgroundBuild:
@@ -591,10 +622,10 @@ class TestBackgroundBuild:
         monkeypatch.setattr(EnvelopeOracle, "_facet_planes", staticmethod(fail))
 
     def test_build_error_on_first_evaluate(self, failing_build):
-        oc = EnvelopeOracle(classify(3), "concave", 64)  # submitting does not raise
-        for other in (oc, oc.opposite(), oc):
+        oc = EnvelopeOracle(classify(3), 64)  # submitting does not raise
+        for kind in oracle.KINDS + oracle.KINDS:
             with pytest.raises(ValueError) as err:
-                other.evaluate(0.0, 0.5)
+                oc.evaluate(0.0, 0.5, kind)
             assert type(err.value) is ValueError and str(err.value) == _NO_FACET
 
     def test_build_error_through_cli(self, failing_build, capsys):
@@ -711,7 +742,7 @@ class TestBackgroundBuild:
         code = (
             "import os, signal\n"
             "from lpenv import EnvelopeOracle, classify\n"
-            "value = lambda: EnvelopeOracle(classify(3), 'concave', 64).evaluate(0.0, 0.5)\n"
+            "value = lambda: EnvelopeOracle(classify(3), 64).evaluate(0.0, 0.5, 'concave')\n"
             "first = value()\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
